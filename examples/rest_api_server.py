@@ -87,6 +87,10 @@ def main() -> None:
         )
         print(f"path-based token resolved asset "
               f"{credential['resolved_asset']!r}")
+
+        # each client kept one connection open for all of its requests
+        admin.close()
+        etl.close()
     print("rest_api_server OK")
 
 

@@ -313,11 +313,11 @@ class TestHttpConcurrency:
             results = []
 
             def worker(index: int) -> None:
-                client = UnityCatalogHttpClient(host, port, "alice")
-                body = client.request(
-                    "GET", "/api/2.1/unity-catalog/tables/" + TABLE,
-                    params={"metastore": "main"},
-                )
+                with UnityCatalogHttpClient(host, port, "alice") as client:
+                    body = client.request(
+                        "GET", "/api/2.1/unity-catalog/tables/" + TABLE,
+                        params={"metastore": "main"},
+                    )
                 results.append(body["name"])
 
             threads = [threading.Thread(target=worker, args=(i,))

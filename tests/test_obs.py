@@ -207,6 +207,25 @@ class TestRestExposure:
         assert response.getheader("Content-Type").startswith("text/plain")
         assert "uc_api_requests_total" in payload
 
+    def test_http_connection_metrics_count_connections_not_requests(
+        self, service, populated
+    ):
+        import http.client
+
+        with UnityCatalogHttpServer(service) as server:
+            connection = http.client.HTTPConnection(*server.address, timeout=10)
+            for _ in range(3):
+                connection.request("GET", "/metrics")
+                payload = connection.getresponse().read().decode()
+            connection.close()
+        assert "# TYPE uc_http_connections_total counter" in payload
+        assert "\nuc_http_connections_total 1\n" in payload
+        assert "# TYPE uc_http_open_connections gauge" in payload
+        assert "\nuc_http_open_connections 1\n" in payload
+        # after stop() every connection has been joined
+        assert service.obs.metrics.get("uc_http_connections_total").value == 1
+        assert service.obs.metrics.get("uc_http_open_connections").value == 0
+
 
 class TestObservabilityBundle:
     def test_shared_clock(self):
