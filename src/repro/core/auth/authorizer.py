@@ -83,6 +83,26 @@ class AccessDecision:
             raise PermissionDeniedError(self.reason)
 
 
+@dataclass(frozen=True)
+class Visibility:
+    """A visibility answer and what it depends on.
+
+    ``subtree`` is False when ownership, MANAGE or a grant on the
+    entity's own chain decided it — an allow found on the chain cannot be
+    revoked by anything off the chain — or when it is a denial on a kind
+    nothing can live under. True means the subtree was consulted (grants
+    on descendants, ABAC), so a change anywhere below can alter it and
+    the decision cache files it as subtree-scoped.
+    """
+
+    allowed: bool
+    subtree: bool
+
+
+_VISIBLE_ON_CHAIN = Visibility(True, subtree=False)
+_VISIBLE_BELOW = Visibility(True, subtree=True)
+
+
 class Authorizer:
     """Stateless decision logic over a :class:`MetastoreView`."""
 
@@ -176,11 +196,8 @@ class Authorizer:
                 break
         if cache is not None:
             cache.put_decision(
-                key,
-                AccessDecision(allowed, "owner-or-admin"),
-                identities,
-                frozenset(s.id for s in self._chain(view, entity, cache)),
-                visibility=False,
+                key, AccessDecision(allowed, "owner-or-admin"), identities,
+                view, entity,
             )
         return allowed
 
@@ -256,11 +273,8 @@ class Authorizer:
         ) or self._abac_granted(view, entity, privilege, identities, cache)
         if cache is not None:
             cache.put_decision(
-                key,
-                AccessDecision(allowed, "privilege-inheritance"),
-                identities,
-                frozenset(s.id for s in self._chain(view, entity, cache)),
-                visibility=False,
+                key, AccessDecision(allowed, "privilege-inheritance"), identities,
+                view, entity,
             )
         return allowed
 
@@ -301,13 +315,7 @@ class Authorizer:
                 )
                 break
         if cache is not None:
-            cache.put_decision(
-                key,
-                decision,
-                identities,
-                frozenset(s.id for s in self._chain(view, entity, cache)),
-                visibility=False,
-            )
+            cache.put_decision(key, decision, identities, view, entity)
         return decision
 
     # -- the main entry point --------------------------------------------------------
@@ -327,15 +335,24 @@ class Authorizer:
             if hit is not None:
                 return hit
         self.evaluations += 1
-        decision = self._authorize_uncached(view, entity, operation, principal, cache)
+        identities = self.identities(principal)
+        subtree = False
+        if operation == "read_metadata":
+            seen = self._visibility(view, entity, identities, cache)
+            subtree = seen.subtree  # same answer, same dependencies
+            decision = (
+                AccessDecision(True, "metadata visible") if seen.allowed
+                else AccessDecision(
+                    False, f"no privileges on {entity.name!r} or its children"
+                )
+            )
+        else:
+            decision = self._authorize_uncached(
+                view, entity, operation, principal, identities, cache
+            )
         if cache is not None:
-            identities = self.identities(principal)
             cache.put_decision(
-                key,
-                decision,
-                identities,
-                frozenset(s.id for s in self._chain(view, entity, cache)),
-                visibility=(operation == "read_metadata"),
+                key, decision, identities, view, entity, subtree=subtree
             )
         return decision
 
@@ -345,17 +362,10 @@ class Authorizer:
         entity: Entity,
         operation: str,
         principal: str,
+        identities: frozenset[str],
         cache: Optional[HotPathCaches] = None,
     ) -> AccessDecision:
-        identities = self.identities(principal)
-
-        if operation == "read_metadata":
-            if self.visible(view, entity, identities, cache):
-                return AccessDecision(True, "metadata visible")
-            return AccessDecision(
-                False, f"no privileges on {entity.name!r} or its children"
-            )
-
+        """Every operation but ``read_metadata`` (which is visibility)."""
         gates = self.check_usage_gates(view, entity, identities, cache)
         if not gates.allowed:
             return gates
@@ -403,21 +413,28 @@ class Authorizer:
         """Metadata visibility: admin rights, any privilege on the entity
         or an ancestor, or any grant anywhere in the entity's subtree
         (so containers of accessible assets can be browsed)."""
+        return self._visibility(view, entity, identities, cache).allowed
+
+    def _visibility(
+        self,
+        view: MetastoreView,
+        entity: Entity,
+        identities: frozenset[str],
+        cache: Optional[HotPathCaches] = None,
+    ) -> Visibility:
+        """:meth:`visible` with the scope of the answer (cached with it,
+        so a hit knows what it depends on too)."""
         if cache is not None:
             key = (identities, entity.id, "visible")
             hit = cache.get_decision(key)
             if hit is not None:
-                return hit.allowed
-        allowed = self._visible_uncached(view, entity, identities, cache)
+                return hit
+        seen = self._visible_uncached(view, entity, identities, cache)
         if cache is not None:
             cache.put_decision(
-                key,
-                AccessDecision(allowed, "visibility"),
-                identities,
-                frozenset(s.id for s in self._chain(view, entity, cache)),
-                visibility=True,
+                key, seen, identities, view, entity, subtree=seen.subtree
             )
-        return allowed
+        return seen
 
     def _visible_uncached(
         self,
@@ -425,9 +442,9 @@ class Authorizer:
         entity: Entity,
         identities: frozenset[str],
         cache: Optional[HotPathCaches] = None,
-    ) -> bool:
+    ) -> Visibility:
         if self.is_owner_or_admin(view, entity, identities, cache):
-            return True
+            return _VISIBLE_ON_CHAIN
         for securable in self._chain(view, entity, cache):
             grants = view.grants_on(securable.id)
             self.grant_rows_examined += len(grants)
@@ -435,9 +452,10 @@ class Authorizer:
                 if grant.principal not in identities:
                     continue
                 if securable.id == entity.id:
-                    return True  # any privilege on the entity itself
+                    return _VISIBLE_ON_CHAIN  # any privilege on the entity itself
                 if grant.privilege not in _NON_INHERITING_VISIBILITY:
-                    return True  # inheritable privileges reveal descendants
+                    # inheritable privileges reveal descendants
+                    return _VISIBLE_ON_CHAIN
         # grants on descendants make the container browsable
         for key, value in view.rows(Tables.GRANTS):
             self.grant_rows_examined += 1
@@ -446,7 +464,7 @@ class Authorizer:
             granted_entity = view.entity_by_id(value["securable_id"])
             while granted_entity is not None:
                 if granted_entity.id == entity.id:
-                    return True
+                    return _VISIBLE_BELOW
                 if granted_entity.parent_id is None:
                     break
                 granted_entity = view.entity_by_id(granted_entity.parent_id)
@@ -454,8 +472,12 @@ class Authorizer:
         for privilege in (Privilege.SELECT, Privilege.READ_VOLUME,
                           Privilege.EXECUTE, Privilege.BROWSE):
             if self._abac_granted(view, entity, privilege, identities, cache):
-                return True
-        return False
+                return _VISIBLE_BELOW
+        # nothing can be granted beneath a kind that has no child kinds,
+        # so only the chain could ever make such an entity visible
+        return Visibility(
+            False, subtree=bool(self._registry.children_of(entity.kind))
+        )
 
     def filter_visible(
         self,
@@ -487,11 +509,7 @@ class Authorizer:
         rules = self._fgac_rules_uncached(view, table, principal, cache)
         if cache is not None:
             cache.put_decision(
-                key,
-                rules,
-                self.identities(principal),
-                frozenset(s.id for s in self._chain(view, table, cache)),
-                visibility=False,
+                key, rules, self.identities(principal), view, table
             )
         return rules
 

@@ -4,8 +4,8 @@ The paper's performance story (section 4.5, Figure 10(b)) is that the
 catalog serves metadata at interactive latency because the hot path —
 resolve names, authorize, vend — almost never recomputes anything: the
 node cache absorbs the database, and this module absorbs the *CPU* work
-layered on top of it. Two caches, both stamped with the metastore
-version they were computed at:
+layered on top of it. Two caches and one memo, all stamped with the
+metastore version they were computed at:
 
 * :class:`AuthDecisionCache` — authorization outcomes keyed by
   ``(principal, securable_id, operation)``. A cached decision is the
@@ -17,39 +17,65 @@ version they were computed at:
   ``(kind, full_name)``. Only successful resolutions are cached; a
   ``NotFoundError`` always re-walks, so creations are visible
   immediately.
+* the ancestor-chain memo of :class:`HotPathCaches`, so one batched
+  ``QueryResolver.resolve`` call walks each chain at most once.
 
-Entries are invalidated by version bump with *selective retention*,
-driven by the persistence layer's existing change log (the same feed the
-node cache's ``SELECTIVE`` reconcile mode uses):
+**A write costs what it touches.** Every entry is *about* one securable
+and is filed under it in the bundle's one :class:`_ChainIndex`, which
+also maps each chain member (the securable itself and every ancestor)
+to the securables filed beneath it. Invalidation, driven by the
+persistence layer's change log (the same feed the node cache's
+``SELECTIVE`` reconcile mode uses), looks the changed ids up there and
+never walks the entries:
 
-* a grant/revoke invalidates only decisions whose identity set contains
-  the grant's principal **and** whose securable chain contains the
-  granted securable (the touched principal × subtree);
-* an entity change (rename, delete, ownership transfer, spec update)
-  invalidates decisions and resolutions whose chain contains the changed
-  entity — chain membership is exactly "the changed entity is the asset
-  itself or an ancestor", which is the name-prefix rule expressed in ids;
+* an entity change (create, rename, delete, ownership transfer, spec
+  update) drops what is filed under every securable whose chain holds
+  the changed entity — "the changed entity is the asset itself or an
+  ancestor", which is the name-prefix rule expressed in ids;
+* a grant/revoke drops, under the securables whose chain holds the
+  granted securable, the decisions whose identity set contains the
+  grantee (the touched principal × subtree);
 * policy or tag changes wipe all decisions (ABAC can reach anything in
-  scope), but retain resolutions;
+  scope) but retain resolutions and chains;
 * ``commits`` / ``share_bindings`` changes invalidate nothing — they can
   never alter an authorization outcome or a name binding.
 
-Visibility-class decisions (``read_metadata`` / ``visible``) additionally
-drop on *any* entity or matching grant change, because grants anywhere in
-an asset's subtree can make its containers browsable.
+**Two scopes.** A decision is *chain-scoped* when the authorizer read
+nothing off the securable's chain to make it, and that is every
+decision but one kind: a visibility answer that had to consult the
+subtree (an allow through a grant on a descendant or an ABAC policy, or
+a denial on a kind that can have children). Those are *subtree-scoped*:
+besides their chain they are indexed by identity, any entity change
+drops all of them and a grant change drops those computed with the
+grantee. A visibility allow found on the chain (ownership, MANAGE, a
+grant on the entity or an inheritable one above it) is chain-scoped,
+because an allow found on the chain cannot be revoked by anything off
+the chain; so is a denial on a kind nothing can live under, because
+only the chain could ever grant it.
 
-A bundle also memoizes the ancestor chain per entity at the pinned
-version, so one batched ``QueryResolver.resolve`` call walks each chain
-at most once. Correctness never depends on any of this: with the fast
-path disabled the service recomputes everything and must produce
-byte-identical results (``python -m repro.bench.hotpath`` proves it).
+**Version check.** ``sync`` pins the bundle to a view's version before a
+lookup, but a reader can lose the CPU to a writer between computing an
+answer and storing it. Every put therefore carries the version of the
+view it was computed from and is dropped when the bundle has moved on:
+the caller keeps its answer, the cache never learns it.
+
+**Bound.** Each structure holds at most ``_MAX_ENTRIES`` entries; a put
+into a full one first evicts the oldest-inserted eighth through the same
+``_drop`` as invalidation, so the index stays exact and the other seven
+eighths stay warm.
+
+Correctness never depends on any of this: with the fast path disabled
+the service recomputes everything and must produce byte-identical
+results (``python -m repro.bench.hotpath`` proves it on one script,
+``tests/test_decision_cache_properties.py`` on random ones).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Optional
 
 from repro.core.model.entity import Entity, SecurableKind
 from repro.core.persistence.store import ChangeRecord, Tables
@@ -58,10 +84,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.auth.authorizer import AccessDecision
     from repro.core.view import MetastoreView
 
-#: Caches are bounded; crossing the cap clears the cache (the warm
-#: working set refills in one pass, and wholesale clears keep the
-#: invalidation state trivially correct).
+#: The most entries each structure holds. A put into a full one evicts
+#: the oldest-inserted eighth first (insertion order is the dict's own;
+#: a hit records nothing).
 _MAX_ENTRIES = 65_536
+
+
+def _make_room(entries: dict, key: Hashable, drop: Callable[[Hashable], None]) -> None:
+    """What precedes ``entries[key] = ...``: an entry being overwritten is
+    dropped (and so re-filed), a full structure drops its oldest eighth."""
+    if key in entries:
+        drop(key)
+    elif len(entries) >= _MAX_ENTRIES:
+        for old in list(islice(entries, max(1, _MAX_ENTRIES // 8))):
+            drop(old)
 
 
 @dataclass
@@ -86,22 +122,78 @@ class HotPathStats:
         return self.resolution_hits / total if total else 0.0
 
 
+class _Filed:
+    """What the bundle holds about one securable: the keys of its cached
+    decisions and names, and whether its chain is memoised."""
+
+    __slots__ = ("chain_ids", "decisions", "names", "chained")
+
+    def __init__(self, chain_ids: frozenset[str]):
+        self.chain_ids = chain_ids
+        self.decisions: set[tuple[Hashable, str, str]] = set()
+        # a tuple: one name per securable unless two kinds share a namespace group
+        self.names: tuple[tuple[SecurableKind, str], ...] = ()
+        self.chained = False
+
+
+class _ChainIndex:
+    """Securables with something cached, by id and by chain member.
+
+    Exact by construction: a securable is present, under its own id and
+    in the holder set of every member of its chain, for as long as
+    something is filed under it and no longer — whoever unfiles calls
+    :meth:`release`, which removes the record and every now-empty holder
+    set with it.
+    """
+
+    def __init__(self):
+        self._filed: dict[str, _Filed] = {}
+        #: chain-member id -> ids of the securables whose chain holds it
+        self._holders: dict[str, set[str]] = {}
+
+    def __getitem__(self, securable_id: str) -> _Filed:
+        return self._filed[securable_id]
+
+    def file(self, securable_id: str, chain_ids: Iterable[str]) -> _Filed:
+        """The securable's record, created (and indexed) on first use."""
+        filed = self._filed.get(securable_id)
+        if filed is None:
+            filed = self._filed[securable_id] = _Filed(frozenset(chain_ids))
+            for member in filed.chain_ids:
+                self._holders.setdefault(member, set()).add(securable_id)
+        return filed
+
+    def release(self, securable_id: str) -> None:
+        """Forget the securable if nothing is filed under it any more."""
+        filed = self._filed[securable_id]
+        if filed.decisions or filed.names or filed.chained:
+            return
+        del self._filed[securable_id]
+        for member in filed.chain_ids:
+            holders = self._holders[member]
+            holders.discard(securable_id)
+            if not holders:
+                del self._holders[member]
+
+    def under(self, member_ids: Iterable[str]) -> list[str]:
+        """Ids of the securables whose chain holds any of ``member_ids``
+        (a copy: callers unfile while they iterate)."""
+        found: set[str] = set()
+        for member in member_ids:
+            found.update(self._holders.get(member, ()))
+        return list(found)
+
+
 class _DecisionEntry:
     """One cached decision plus the facts needed to invalidate it."""
 
-    __slots__ = ("value", "identities", "chain_ids", "visibility")
+    __slots__ = ("value", "identities", "subtree")
 
-    def __init__(
-        self,
-        value: "AccessDecision",
-        identities: frozenset[str],
-        chain_ids: frozenset[str],
-        visibility: bool,
-    ):
+    def __init__(self, value: "AccessDecision", identities: frozenset[str],
+                 subtree: bool):
         self.value = value
         self.identities = identities
-        self.chain_ids = chain_ids
-        self.visibility = visibility
+        self.subtree = subtree
 
 
 class AuthDecisionCache:
@@ -110,11 +202,16 @@ class AuthDecisionCache:
     The principal component may be a principal name (``authorize``) or an
     expanded identity frozenset (``has_privilege`` / ``visible``); either
     way the entry records the identity set the decision was computed
-    with, which is what grant invalidation matches against.
+    with, which is what grant invalidation matches against. Entries are
+    filed under ``securable_id`` in the bundle's chain index;
+    subtree-scoped ones are also indexed by identity.
     """
 
-    def __init__(self):
+    def __init__(self, index: _ChainIndex):
+        self._index = index
         self._entries: dict[tuple[Hashable, str, str], _DecisionEntry] = {}
+        #: identity -> keys of the subtree-scoped entries computed with it
+        self._subtree_by_identity: dict[str, set[tuple[Hashable, str, str]]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -128,16 +225,32 @@ class AuthDecisionCache:
         key: tuple[Hashable, str, str],
         value: "AccessDecision",
         identities: frozenset[str],
-        chain_ids: frozenset[str],
-        visibility: bool,
+        chain_ids: Iterable[str],
+        subtree: bool,
     ) -> None:
-        if len(self._entries) >= _MAX_ENTRIES:
-            self._entries.clear()
-        self._entries[key] = _DecisionEntry(value, identities, chain_ids, visibility)
+        _make_room(self._entries, key, self._drop)
+        self._index.file(key[1], chain_ids).decisions.add(key)
+        if subtree:
+            for identity in identities:
+                self._subtree_by_identity.setdefault(identity, set()).add(key)
+        self._entries[key] = _DecisionEntry(value, identities, subtree)
+
+    def _drop(self, key: tuple[Hashable, str, str]) -> None:
+        """The one way an entry leaves: out of every index it is in."""
+        entry = self._entries.pop(key)
+        self._index[key[1]].decisions.discard(key)
+        self._index.release(key[1])
+        if entry.subtree:
+            for identity in entry.identities:
+                keys = self._subtree_by_identity[identity]
+                keys.discard(key)
+                if not keys:
+                    del self._subtree_by_identity[identity]
 
     def clear(self) -> int:
         dropped = len(self._entries)
-        self._entries.clear()
+        for key in list(self._entries):
+            self._drop(key)
         return dropped
 
     def invalidate(
@@ -145,79 +258,72 @@ class AuthDecisionCache:
         entity_ids: frozenset[str],
         grant_changes: list[tuple[str, str]],
     ) -> int:
-        """Selective retention: drop only entries the changes can affect."""
-        if not entity_ids and not grant_changes:
-            return 0
-        dead = []
-        for key, entry in self._entries.items():
-            securable_id = key[1]
-            if entity_ids and (
-                securable_id in entity_ids
-                or not entity_ids.isdisjoint(entry.chain_ids)
-                or entry.visibility
-            ):
-                # visibility can hinge on grants held anywhere in the
-                # subtree, whose members we do not track — drop coarsely.
-                dead.append(key)
-                continue
-            for grant_securable, grant_principal in grant_changes:
-                if grant_principal in entry.identities and (
-                    entry.visibility or grant_securable in entry.chain_ids
-                ):
-                    dead.append(key)
-                    break
+        """Selective retention: drop only entries the changes can affect,
+        found through the indexes."""
+        dead: set[tuple[Hashable, str, str]] = set()
+        if entity_ids:
+            for securable_id in self._index.under(entity_ids):
+                dead.update(self._index[securable_id].decisions)
+            # what a subtree-scoped answer read is not tracked member by
+            # member — any entity change drops them all
+            for keys in self._subtree_by_identity.values():
+                dead.update(keys)
+        for grant_securable, grant_principal in grant_changes:
+            dead.update(self._subtree_by_identity.get(grant_principal, ()))
+            for securable_id in self._index.under((grant_securable,)):
+                for key in self._index[securable_id].decisions:
+                    if grant_principal in self._entries[key].identities:
+                        dead.add(key)
         for key in dead:
-            del self._entries[key]
+            self._drop(key)
         return len(dead)
-
-
-class _ResolutionEntry:
-    __slots__ = ("entity", "chain_ids")
-
-    def __init__(self, entity: Entity, chain_ids: frozenset[str]):
-        self.entity = entity
-        self.chain_ids = chain_ids
 
 
 class ResolutionCache:
     """Name → entity bindings keyed ``(kind, full_name)``.
 
-    ``chain_ids`` holds every entity id the resolving walk visited (the
-    containers plus the asset itself), so renaming or deleting any
-    segment of ``a.b.c`` drops every cached name under it — the
-    name-prefix invalidation rule, expressed in ids.
+    A binding is filed under the entity it resolved to, whose chain is
+    every entity id the resolving walk visited (the containers plus the
+    asset itself), so renaming or deleting any segment of ``a.b.c``
+    drops every cached name under it — the name-prefix invalidation
+    rule, expressed in ids.
     """
 
-    def __init__(self):
-        self._entries: dict[tuple[SecurableKind, str], _ResolutionEntry] = {}
+    def __init__(self, index: _ChainIndex):
+        self._index = index
+        self._entries: dict[tuple[SecurableKind, str], Entity] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(self, kind: SecurableKind, full_name: str) -> Optional[Entity]:
-        entry = self._entries.get((kind, full_name))
-        return entry.entity if entry is not None else None
+        return self._entries.get((kind, full_name))
 
     def put(self, kind: SecurableKind, full_name: str, entity: Entity,
-            chain_ids: frozenset[str]) -> None:
-        if len(self._entries) >= _MAX_ENTRIES:
-            self._entries.clear()
-        self._entries[(kind, full_name)] = _ResolutionEntry(entity, chain_ids)
+            chain_ids: Iterable[str]) -> None:
+        key = (kind, full_name)
+        _make_room(self._entries, key, self._drop)
+        filed = self._index.file(entity.id, chain_ids)
+        filed.names += (key,)
+        self._entries[key] = entity
+
+    def _drop(self, key: tuple[SecurableKind, str]) -> None:
+        securable_id = self._entries.pop(key).id
+        filed = self._index[securable_id]
+        filed.names = tuple(name for name in filed.names if name != key)
+        self._index.release(securable_id)
 
     def clear(self) -> int:
         dropped = len(self._entries)
-        self._entries.clear()
+        for key in list(self._entries):
+            self._drop(key)
         return dropped
 
     def invalidate(self, entity_ids: frozenset[str]) -> int:
-        if not entity_ids:
-            return 0
-        dead = [
-            key for key, entry in self._entries.items()
-            if not entity_ids.isdisjoint(entry.chain_ids)
-        ]
+        dead = [key for securable_id in self._index.under(entity_ids)
+                for key in self._index[securable_id].names]
         for key in dead:
-            del self._entries[key]
+            self._drop(key)
         return len(dead)
 
 
@@ -244,11 +350,21 @@ class HotPathCaches:
         self._changes_since = changes_since
         self._directory_generation = directory_generation
         self._generation = directory_generation()
-        self.decisions = AuthDecisionCache()
-        self.resolutions = ResolutionCache()
+        self._index = _ChainIndex()
+        self.decisions = AuthDecisionCache(self._index)
+        self.resolutions = ResolutionCache(self._index)
         self._chains: dict[str, tuple[Entity, ...]] = {}
         self.stats = HotPathStats()
         self._lock = threading.RLock()
+
+    def sizes(self) -> dict[str, int]:
+        """Entries held per structure (the ``uc_hot_cache_entries`` gauge)."""
+        with self._lock:
+            return {
+                "decisions": len(self.decisions),
+                "resolutions": len(self.resolutions),
+                "chains": len(self._chains),
+            }
 
     # -- version pinning ---------------------------------------------------
 
@@ -308,13 +424,9 @@ class HotPathCaches:
                 frozen_ids, grant_changes
             )
         self.stats.invalidations += self.resolutions.invalidate(frozen_ids)
-        if entity_ids:
-            dead_chains = [
-                key for key, chain in self._chains.items()
-                if any(link.id in entity_ids for link in chain)
-            ]
-            for key in dead_chains:
-                del self._chains[key]
+        # what is still filed under a changed entity is a memoised chain
+        for securable_id in self._index.under(frozen_ids):
+            self._drop_chain(securable_id)
 
     # -- decision cache front ----------------------------------------------
 
@@ -334,11 +446,20 @@ class HotPathCaches:
         key: tuple[Hashable, str, str],
         value: "AccessDecision",
         identities: frozenset[str],
-        chain_ids: frozenset[str],
-        visibility: bool = False,
+        view: "MetastoreView",
+        entity: Entity,
+        subtree: bool = False,
     ) -> None:
+        """Cache a decision about ``entity`` computed from ``view`` —
+        unless the bundle has moved past that view's version meanwhile.
+        ``subtree`` marks a visibility answer that read beyond the chain."""
+        chain = self.chain(view, entity)  # the memo the decision just used
         with self._lock:
-            self.decisions.put(key, value, identities, chain_ids, visibility)
+            if view.version != self.version:
+                return
+            self.decisions.put(
+                key, value, identities, (link.id for link in chain), subtree
+            )
 
     # -- resolution cache front --------------------------------------------
 
@@ -352,9 +473,11 @@ class HotPathCaches:
         return entity
 
     def put_resolution(self, kind: SecurableKind, full_name: str, entity: Entity,
-                       chain_ids: frozenset[str]) -> None:
+                       chain_ids: Iterable[str], version: int) -> None:
+        """Cache a binding resolved at ``version`` (dropped if stale)."""
         with self._lock:
-            self.resolutions.put(kind, full_name, entity, chain_ids)
+            if version == self.version:
+                self.resolutions.put(kind, full_name, entity, chain_ids)
 
     # -- ancestor-chain memo -----------------------------------------------
 
@@ -367,7 +490,15 @@ class HotPathCaches:
                 return memo
         chain = (entity, *view.ancestors(entity))
         with self._lock:
-            if len(self._chains) >= _MAX_ENTRIES:
-                self._chains.clear()
-            self._chains[entity.id] = chain
+            if view.version == self.version:
+                _make_room(self._chains, entity.id, self._drop_chain)
+                self._index.file(
+                    entity.id, (link.id for link in chain)
+                ).chained = True
+                self._chains[entity.id] = chain
         return chain
+
+    def _drop_chain(self, securable_id: str) -> None:
+        del self._chains[securable_id]
+        self._index[securable_id].chained = False
+        self._index.release(securable_id)

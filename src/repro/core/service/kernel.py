@@ -249,6 +249,8 @@ class ServiceKernel:
             yield ("uc_resolution_cache_misses_total", labels,
                    stats.resolution_misses)
             yield ("uc_hot_cache_invalidations_total", labels, stats.invalidations)
+            for cache, entries in bundle.sizes().items():
+                yield ("uc_hot_cache_entries", {**labels, "cache": cache}, entries)
 
         self.obs.metrics.register_collector(collect)
 
@@ -588,7 +590,7 @@ class ServiceKernel:
             raise NotFoundError(f"no such {kind.value.lower()}: {name}")
         if cache is not None:
             walked.append(entity.id)
-            cache.put_resolution(kind, name, entity, frozenset(walked))
+            cache.put_resolution(kind, name, entity, walked, view.version)
         return entity
 
     def resolve_name(self, metastore_id: str, kind: SecurableKind, name: str) -> Entity:

@@ -173,6 +173,13 @@ class TestRestExposure:
         assert "# TYPE uc_api_requests_total counter" in response.body
         assert 'uc_api_requests_total{api="create_securable"}' in response.body
         assert "uc_cache_hits_total" in response.body
+        # the fast-path bundle's sizes: three series per metastore
+        sizes = [line for line in response.body.splitlines()
+                 if line.startswith("uc_hot_cache_entries{")]
+        assert len(sizes) == 3
+        for cache in ("decisions", "resolutions", "chains"):
+            assert sum(f'cache="{cache}"' in line and 'metastore="main"' in line
+                       for line in sizes) == 1
 
     def test_traces_endpoint_returns_span_tree(self, service, alice_session):
         result = alice_session.sql("SELECT id FROM sales.q1.orders")

@@ -214,7 +214,13 @@ CONCURRENCY_ALLOWLIST: dict[str, str] = {
     # AuthDecisionCache / ResolutionCache are deliberately lock-free:
     # every access goes through the owning HotPathCaches bundle, whose
     # RLock wraps get/put/invalidate/sync end to end.
+    "repro.core.cache.decisions:_ChainIndex.file":
+        "only reached via HotPathCaches under its RLock",
+    "repro.core.cache.decisions:_ChainIndex.release":
+        "only reached via HotPathCaches under its RLock",
     "repro.core.cache.decisions:AuthDecisionCache.put":
+        "only reached via HotPathCaches under its RLock",
+    "repro.core.cache.decisions:AuthDecisionCache._drop":
         "only reached via HotPathCaches under its RLock",
     "repro.core.cache.decisions:AuthDecisionCache.clear":
         "only reached via HotPathCaches under its RLock",
@@ -222,12 +228,16 @@ CONCURRENCY_ALLOWLIST: dict[str, str] = {
         "only reached via HotPathCaches under its RLock",
     "repro.core.cache.decisions:ResolutionCache.put":
         "only reached via HotPathCaches under its RLock",
+    "repro.core.cache.decisions:ResolutionCache._drop":
+        "only reached via HotPathCaches under its RLock",
     "repro.core.cache.decisions:ResolutionCache.clear":
         "only reached via HotPathCaches under its RLock",
     "repro.core.cache.decisions:ResolutionCache.invalidate":
         "only reached via HotPathCaches under its RLock",
     "repro.core.cache.decisions:HotPathCaches._apply_changes":
         "called only from sync()/note_commit(), both inside self._lock",
+    "repro.core.cache.decisions:HotPathCaches._drop_chain":
+        "called only from _apply_changes()/chain(), both inside self._lock",
     # Eviction policies are owned 1:1 by a MetastoreCacheNode, which
     # invokes them only inside its own RLock.
     "repro.core.cache.eviction:LruPolicy.record_access":
