@@ -3,16 +3,18 @@
 The paper's backend contract is small but strict: per-metastore snapshot
 reads, serializable writes via a persistent *metastore version* that every
 write transaction bumps with compare-and-swap, and a change log the cache
-uses for selective invalidation. Two implementations are provided:
+uses for selective invalidation. Three backends implement it:
 
-* :class:`~repro.core.persistence.memory.InMemoryMetadataStore` — an MVCC
-  store used by tests and benchmarks,
+* :class:`~repro.core.persistence.memory.InMemoryMetadataStore` — the one
+  in-memory MVCC engine (row histories, CAS commit, change log,
+  compaction); flat, so range reads are filtered full scans,
+* :class:`~repro.core.persistence.treecat.TreeCatMetadataStore` — that
+  engine plus TreeCat's tree index: prefix-ordered keys and
+  ``(parent, kind, name)`` index rows derived inside each commit, for
+  list/resolve range reads,
 * :class:`~repro.core.persistence.sqlite.SqliteMetadataStore` — a durable
   SQLite-backed store demonstrating that the contract maps onto a
-  standard relational database, as in the production system,
-* :class:`~repro.core.persistence.treecat.TreeCatMetadataStore` — a
-  TreeCat-style hierarchical store with prefix-ordered keys, range
-  scans, and a transactional tree index for list/resolve fast paths.
+  standard relational database, as in the production system.
 """
 
 from repro.core.persistence.store import (

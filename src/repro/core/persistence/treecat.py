@@ -1,54 +1,46 @@
 """TreeCat-style hierarchical metadata store.
 
-The catalog namespace is a three-level tree, but the flat backends store
-it as unordered key/value rows — so ``list schemas``, name resolution and
+The catalog namespace is a three-level tree, but the flat store keeps it
+as unordered key/value rows — so ``list schemas``, name resolution and
 subtree operations scan the whole metastore. Following TreeCat
 ("a standalone catalog engine for large data systems", PAPERS.md), this
-backend keeps every table's keys in a *prefix-ordered* sorted structure
-and maintains a **tree index** — rows mapping
+backend is the in-memory MVCC engine of :mod:`.memory` with two
+additions: every table keeps its keys in a *prefix-ordered* sorted list,
+and each commit derives a **tree index** — rows mapping
 
     ``parent_id ␟ kind ␟ name ␟ entity_id  →  {"id", "state"}``
 
-— transactionally inside :meth:`commit`, derived from the entity ops in
-the same batch. List/resolve/subtree reads then become single range
-reads over the sorted key space:
+— from the entity ops in the same batch. List/resolve/subtree reads then
+become single range reads over the sorted key space:
 
-* ``scan_prefix`` / ``scan_range`` — bisect into the sorted key list,
-  touch only the keys inside the range (interval-based reads);
+* ``scan_prefix`` / ``scan_range`` / ``count`` — bisect into the sorted
+  key list, touch (and charge) only the keys inside the range;
 * ``child_id`` — point range over one ``(parent, kind, name)`` slot;
 * ``children_ids`` / ``count_children`` — one range read per container,
   independent of metastore size;
 * full ``scan`` — key-ordered walk (deterministic iteration order).
 
-MVCC semantics are identical to the in-memory backend: every row —
-including tree-index rows — is an append-ordered ``(version, value)``
-list, and a snapshot pinned at V sees the newest pair ``<= V``. Index
-rows therefore time-travel with the entities they index: a snapshot
-taken before a rename still resolves the old name. Index maintenance is
-invisible to the change log (the index is derived state; replicas
-regenerate it by replaying the entity ops through their own commit).
+Index rows are row histories like any other, so they time-travel with
+the entities they index: a snapshot taken before a rename still resolves
+the old name. They stay out of the change log (the index is derived
+state; replicas regenerate it by replaying the entity ops through their
+own commit).
 """
 
 from __future__ import annotations
 
-import copy
-import threading
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Optional
 
-from repro.core.persistence.store import (
-    ChangeRecord,
-    MetadataStore,
-    Snapshot,
-    Tables,
-    WriteOp,
+from repro.core.persistence.memory import (
+    InMemoryMetadataStore,
+    _MemorySnapshot,
+    _prefix_end,
+    _Slot,
+    _Table,
+    _visible,
 )
-from repro.errors import (
-    AlreadyExistsError,
-    ConcurrentModificationError,
-    NotFoundError,
-)
+from repro.core.persistence.store import Tables, WriteOp
 
 #: key-segment separator: sorts below every printable character, so the
 #: sorted key order groups a parent's slots before any longer sibling key
@@ -67,154 +59,57 @@ def _index_key(parent_id: Optional[str], kind: str, name: str,
     return _SEP.join((parent_id or "", kind, name, entity_id))
 
 
-def _visible(versions: list[tuple[int, Optional[dict]]], at: int) -> Optional[dict]:
-    """Newest value committed at or before ``at`` (None if deleted/absent)."""
-    for version, value in reversed(versions):
-        if version <= at:
-            return value
-    return None
+class _OrderedTable(_Table):
+    """A table that also keeps every key ever written (tombstoned keys
+    stay until compaction) ascending, so range reads are bisect + short
+    walk."""
 
+    __slots__ = ("ordered",)
 
-@dataclass
-class _Table:
-    """One logical table: MVCC rows plus the prefix-ordered key list."""
-
-    rows: dict[str, list[tuple[int, Optional[dict]]]] = field(default_factory=dict)
-    #: every key ever written (tombstoned keys stay until compaction),
-    #: kept ascending so range reads are bisect + short walk
-    ordered: list[str] = field(default_factory=list)
+    def __init__(self):
+        super().__init__()
+        self.ordered: list[str] = []
 
     def append(self, key: str, version: int, value: Optional[dict]) -> None:
-        versions = self.rows.get(key)
-        if versions is None:
-            versions = self.rows[key] = []
+        if key not in self:
             insort(self.ordered, key)
-        versions.append((version, value))
+        super().append(key, version, value)
 
-    def latest(self, key: str) -> Optional[dict]:
-        versions = self.rows.get(key)
-        return versions[-1][1] if versions else None
+    def scan_keys(self) -> list[str]:
+        return self.ordered
 
     def range_keys(self, start: str, end: Optional[str]) -> list[str]:
         lo = bisect_left(self.ordered, start)
         hi = bisect_left(self.ordered, end) if end is not None else len(self.ordered)
         return self.ordered[lo:hi]
 
-
-@dataclass
-class _TreeSlot:
-    version: int = 0
-    tables: dict[str, _Table] = field(default_factory=dict)
-    changelog: list[ChangeRecord] = field(default_factory=list)
-    lock: threading.RLock = field(default_factory=threading.RLock)
-
-    def table(self, name: str) -> _Table:
-        table = self.tables.get(name)
-        if table is None:
-            table = self.tables[name] = _Table()
-        return table
+    def compact(self, min_version: int) -> int:
+        removed = super().compact(min_version)
+        if len(self.ordered) != len(self):
+            self.ordered = sorted(self)
+        return removed
 
 
-class _TreeCatSnapshot(Snapshot):
+class _TreeCatSnapshot(_MemorySnapshot):
     has_tree_index = True
 
-    def __init__(self, slot: _TreeSlot, metastore_id: str, version: int,
-                 store: "TreeCatMetadataStore"):
-        super().__init__(metastore_id, version)
-        self._slot = slot
-        self._store = store
-
-    # -- point reads -----------------------------------------------------
-
-    def get(self, table: str, key: str) -> Optional[dict[str, Any]]:
+    def _index_entries(self, parent_id: Optional[str],
+                       *segments: Optional[str]) -> list[dict]:
+        """Live index values under ``parent_id ␟ segments… ␟`` (a None
+        segment, i.e. any kind, is left out): one range read, charged
+        for the keys it touches."""
+        prefix = _SEP.join(
+            [parent_id or ""] + [s for s in segments if s is not None]
+        ) + _SEP
         with self._slot.lock:
-            versions = self._slot.table(table).rows.get(key)
-            if not versions:
-                return None
-            value = _visible(versions, self.version)
-            return copy.deepcopy(value) if value is not None else None
-
-    def multi_get(self, table: str, keys: list[str]) -> dict[str, dict[str, Any]]:
-        out: dict[str, dict[str, Any]] = {}
-        with self._slot.lock:
-            rows = self._slot.table(table).rows
-            for key in keys:
-                versions = rows.get(key)
-                if not versions:
-                    continue
-                value = _visible(versions, self.version)
-                if value is not None:
-                    out[key] = copy.deepcopy(value)
-        self._store.multi_get_count += 1
-        return out
-
-    # -- scans (always key-ordered) --------------------------------------
-
-    def scan(self, table: str) -> Iterator[tuple[str, dict[str, Any]]]:
-        with self._slot.lock:
-            t = self._slot.table(table)
-            out = []
-            for key in t.ordered:
-                value = _visible(t.rows[key], self.version)
-                if value is not None:
-                    out.append((key, copy.deepcopy(value)))
-        self._store.scan_row_count += len(out)
-        return iter(out)
-
-    def _range(self, table: str, start: str, end: Optional[str]):
-        """Materialized live rows in ``[start, end)``; charges only the
-        keys the range actually touches."""
-        with self._slot.lock:
-            t = self._slot.table(table)
-            keys = t.range_keys(start, end)
-            out = []
-            for key in keys:
-                value = _visible(t.rows[key], self.version)
-                if value is not None:
-                    out.append((key, copy.deepcopy(value)))
-        self._store.range_scan_count += 1
-        self._store.scan_row_count += len(keys)
-        return out
-
-    def scan_range(self, table: str, start: str, end: Optional[str]):
-        return iter(self._range(table, start, end))
-
-    def scan_prefix(self, table: str, prefix: str):
-        return iter(self._range(table, prefix, prefix + "￿"))
-
-    def count(self, table: str, prefix: str = "") -> int:
-        with self._slot.lock:
-            t = self._slot.table(table)
-            if prefix:
-                keys = t.range_keys(prefix, prefix + "￿")
-            else:
-                keys = t.ordered
-            counted = sum(
-                1 for key in keys
-                if _visible(t.rows[key], self.version) is not None
-            )
-        self._store.range_scan_count += 1
-        self._store.scan_row_count += len(keys)
-        return counted
-
-    # -- tree-index reads ------------------------------------------------
-
-    def _index_entries(self, start: str, end: str) -> list[dict]:
-        with self._slot.lock:
-            t = self._slot.table(TREE_INDEX)
-            keys = t.range_keys(start, end)
-            out = []
-            for key in keys:
-                value = _visible(t.rows[key], self.version)
-                if value is not None:
-                    out.append(value)
-        self._store.range_scan_count += 1
-        self._store.scan_row_count += len(keys)
-        return out
+            rows = self._slot.read_table(TREE_INDEX)
+            keys = rows.range_keys(prefix, _prefix_end(prefix))
+            self._store._charge_range(rows, keys)
+            values = [_visible(rows[key], self.version) for key in keys]
+        return [value for value in values if value is not None]
 
     def child_id(self, parent_id: str, kind: str, name: str) -> Optional[str]:
-        prefix = _SEP.join((parent_id or "", kind, name)) + _SEP
-        for entry in self._index_entries(prefix, prefix + "￿"):
+        for entry in self._index_entries(parent_id, kind, name):
             if entry["state"] == "ACTIVE":
                 return entry["id"]
         return None
@@ -225,114 +120,42 @@ class _TreeCatSnapshot(Snapshot):
         kind: Optional[str] = None,
         include_deleted: bool = False,
     ) -> Optional[list[str]]:
-        prefix = (parent_id or "") + _SEP
-        if kind is not None:
-            prefix += kind + _SEP
         return [
             entry["id"]
-            for entry in self._index_entries(prefix, prefix + "￿")
+            for entry in self._index_entries(parent_id, kind)
             if include_deleted or entry["state"] == "ACTIVE"
         ]
 
     def count_children(
         self, parent_id: str, kind: Optional[str] = None
     ) -> Optional[int]:
-        prefix = (parent_id or "") + _SEP
-        if kind is not None:
-            prefix += kind + _SEP
         return sum(
-            1 for entry in self._index_entries(prefix, prefix + "￿")
+            1 for entry in self._index_entries(parent_id, kind)
             if entry["state"] == "ACTIVE"
         )
 
 
-class TreeCatMetadataStore(MetadataStore):
-    """The hierarchical backend: same contract, range reads for free."""
+class TreeCatMetadataStore(InMemoryMetadataStore):
+    """The hierarchical backend: same engine, range reads for free."""
 
-    def __init__(self):
-        self._slots: dict[str, _TreeSlot] = {}
-        self._global_lock = threading.RLock()
-        self.read_count = 0
-        self.commit_count = 0
-        self.scan_row_count = 0
-        self.multi_get_count = 0
-        self.range_scan_count = 0
+    _table_type = _OrderedTable
+    _snapshot_type = _TreeCatSnapshot
+    _derived_tables = (TREE_INDEX,)
 
-    def _slot(self, metastore_id: str) -> _TreeSlot:
-        try:
-            return self._slots[metastore_id]
-        except KeyError:
-            raise NotFoundError(f"no such metastore slot: {metastore_id}")
+    def _charge_range(self, rows: _Table, touched: list[str]) -> None:
+        self.range_scan_count += 1
+        self.scan_row_count += len(touched)
 
-    # -- MetadataStore ---------------------------------------------------
-
-    def create_metastore_slot(self, metastore_id: str) -> None:
-        with self._global_lock:
-            if metastore_id in self._slots:
-                raise AlreadyExistsError(f"metastore slot exists: {metastore_id}")
-            self._slots[metastore_id] = _TreeSlot()
-
-    def metastore_ids(self) -> list[str]:
-        with self._global_lock:
-            return list(self._slots)
-
-    def current_version(self, metastore_id: str) -> int:
-        slot = self._slot(metastore_id)
-        with slot.lock:
-            return slot.version
-
-    def snapshot(self, metastore_id: str, at_version: Optional[int] = None) -> Snapshot:
-        slot = self._slot(metastore_id)
-        with slot.lock:
-            version = slot.version if at_version is None else at_version
-            if version > slot.version:
-                raise ConcurrentModificationError(
-                    f"snapshot version {version} is ahead of committed {slot.version}"
-                )
-            self.read_count += 1
-            return _TreeCatSnapshot(slot, metastore_id, version, store=self)
-
-    def commit(self, metastore_id: str, expected_version: int, ops: list[WriteOp]) -> int:
-        slot = self._slot(metastore_id)
-        with slot.lock:
-            if slot.version != expected_version:
-                raise ConcurrentModificationError(
-                    f"metastore {metastore_id}: expected version {expected_version}, "
-                    f"found {slot.version}"
-                )
-            new_version = expected_version + 1
-            index_ops = self._index_maintenance(slot, ops)
-            for op in ops:
-                value = copy.deepcopy(op.value) if op.value is not None else None
-                slot.table(op.table).append(op.key, new_version, value)
-                slot.changelog.append(
-                    ChangeRecord(
-                        version=new_version,
-                        table=op.table,
-                        key=op.key,
-                        deleted=op.value is None,
-                    )
-                )
-            # derived rows: versioned like everything else, but invisible
-            # to the change log — replicas rebuild them from the entity
-            # ops they replay through their own commit()
-            index = slot.table(TREE_INDEX)
-            for key, value in index_ops:
-                index.append(key, new_version, value)
-            slot.version = new_version
-            self.commit_count += 1
-            return new_version
-
-    def _index_maintenance(
-        self, slot: _TreeSlot, ops: list[WriteOp]
-    ) -> list[tuple[str, Optional[dict]]]:
+    def _derived_rows(
+        self, slot: _Slot, ops: list[WriteOp]
+    ) -> list[tuple[str, str, Optional[dict]]]:
         """Tree-index rows implied by this batch's entity writes.
 
         For every entity op: tombstone the index slot the entity's
         previous version occupied (if the slot moved — rename, reparent,
-        hard delete) and write the slot its new version occupies. Runs
-        before the ops are applied so "previous" means pre-commit state,
-        with earlier ops in the same batch taken into account.
+        hard delete) and write the slot its new version occupies.
+        "Previous" means pre-commit state, with earlier ops in the same
+        batch taken into account.
         """
         def slot_key(value: Optional[dict]) -> Optional[str]:
             # rows without the entity shape (raw contract tests, foreign
@@ -343,82 +166,24 @@ class TreeCatMetadataStore(MetadataStore):
                 value.get("parent_id"), value["kind"], value["name"], value["id"]
             )
 
-        index_ops: list[tuple[str, Optional[dict]]] = []
-        entities = slot.table(Tables.ENTITIES)
+        index_rows: list[tuple[str, str, Optional[dict]]] = []
+        entities = slot.read_table(Tables.ENTITIES)
         pending: dict[str, Optional[dict]] = {}
         for op in ops:
             if op.table != Tables.ENTITIES:
                 continue
-            previous = (
-                pending[op.key] if op.key in pending else entities.latest(op.key)
-            )
+            if op.key in pending:
+                previous = pending[op.key]
+            else:
+                versions = entities.get(op.key)
+                previous = versions[-1][1] if versions else None
             pending[op.key] = op.value
             old_key = slot_key(previous)
             new_key = slot_key(op.value)
             if old_key is not None and old_key != new_key:
-                index_ops.append((old_key, None))
+                index_rows.append((TREE_INDEX, old_key, None))
             if new_key is not None:
-                index_ops.append((
-                    new_key,
-                    {"id": op.value["id"], "state": op.value.get("state", "ACTIVE")},
-                ))
-        return index_ops
-
-    def changes_since(self, metastore_id: str, from_version: int) -> list[ChangeRecord]:
-        slot = self._slot(metastore_id)
-        with slot.lock:
-            return [c for c in slot.changelog if c.version > from_version]
-
-    def compact(self, metastore_id: str, min_version: int) -> int:
-        slot = self._slot(metastore_id)
-        removed = 0
-        with slot.lock:
-            for table in slot.tables.values():
-                dropped_keys = False
-                for key in list(table.rows):
-                    versions = table.rows[key]
-                    keep_from = 0
-                    for i, (version, _) in enumerate(versions):
-                        if version <= min_version:
-                            keep_from = i
-                    removed += keep_from
-                    kept = versions[keep_from:]
-                    # a sole tombstone older than min_version can go entirely
-                    if len(kept) == 1 and kept[0][1] is None and kept[0][0] <= min_version:
-                        removed += 1
-                        del table.rows[key]
-                        dropped_keys = True
-                    else:
-                        table.rows[key] = kept
-                if dropped_keys:
-                    table.ordered = sorted(table.rows)
-            slot.changelog = [c for c in slot.changelog if c.version > min_version]
-        return removed
-
-    # -- diagnostics -----------------------------------------------------
-
-    def row_version_count(self, metastore_id: str) -> int:
-        """Total stored row versions, tree-index rows included."""
-        slot = self._slot(metastore_id)
-        with slot.lock:
-            return sum(
-                len(versions)
-                for table in slot.tables.values()
-                for versions in table.rows.values()
-            )
-
-    def approximate_size_bytes(self, metastore_id: str) -> int:
-        """Rough serialized size of the live metadata (index excluded)."""
-        import json
-
-        slot = self._slot(metastore_id)
-        total = 0
-        with slot.lock:
-            for name, table in slot.tables.items():
-                if name == TREE_INDEX:
-                    continue
-                for versions in table.rows.values():
-                    value = versions[-1][1]
-                    if value is not None:
-                        total += len(json.dumps(value))
-        return total
+                index_rows.append((TREE_INDEX, new_key, {
+                    "id": op.value["id"], "state": op.value.get("state", "ACTIVE"),
+                }))
+        return index_rows

@@ -352,43 +352,92 @@ class TestMemorySpecific:
 
 # -- property test: linearized model equivalence --------------------------------
 
+MODEL_KEYS = ["a", "a/1", "a/2", "ab", "b/1", "b/2"]
+MODEL_PREFIXES = ["", "a", "a/", "b/", "c"]
+
+
+def _check_against_model(store, version, expected):
+    snapshot = store.snapshot(MID, at_version=version)
+    rows = list(snapshot.scan(Tables.ENTITIES))
+    assert dict(rows) == expected
+    if isinstance(store, TreeCatMetadataStore):
+        assert [k for k, _ in rows] == sorted(expected)
+    for key in MODEL_KEYS:
+        assert snapshot.get(Tables.ENTITIES, key) == expected.get(key)
+    for prefix in MODEL_PREFIXES:
+        under = sorted(k for k in expected if k.startswith(prefix))
+        assert list(snapshot.scan_prefix(Tables.ENTITIES, prefix)) == [
+            (k, expected[k]) for k in under
+        ]
+        assert snapshot.count(Tables.ENTITIES, prefix) == len(under)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
-    ops=st.lists(
-        st.tuples(
-            st.sampled_from(["put", "delete"]),
-            st.sampled_from(["k1", "k2", "k3"]),
-            st.integers(0, 99),
+    batches=st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["put", "delete"]),
+                st.sampled_from(MODEL_KEYS),
+                st.integers(0, 99),
+            ),
+            min_size=1,
+            max_size=3,
         ),
         min_size=1,
-        max_size=25,
-    )
+        max_size=20,
+    ),
+    data=st.data(),
 )
-def test_memory_store_matches_naive_model(ops):
-    """Applying a serial history, every intermediate snapshot must match a
-    naive dict replayed to that version — on the flat and the
-    prefix-ordered backend alike (treecat additionally must scan in key
-    order)."""
-    stores = [InMemoryMetadataStore(), TreeCatMetadataStore()]
-    for store in stores:
-        store.create_metastore_slot(MID)
-    model_history = [{}]
-    model = {}
-    for i, (op, key, value) in enumerate(ops):
-        if op == "put":
-            write = [WriteOp.put(Tables.ENTITIES, key, {"v": value})]
-            model[key] = {"v": value}
-        else:
-            write = [WriteOp.delete(Tables.ENTITIES, key)]
-            model.pop(key, None)
-        for store in stores:
-            store.commit(MID, i, write)
-        model_history.append(dict(model))
-    for version, expected in enumerate(model_history):
-        for store in stores:
-            snapshot = store.snapshot(MID, at_version=version)
-            rows = list(snapshot.scan(Tables.ENTITIES))
-            assert dict(rows) == expected
-            if isinstance(store, TreeCatMetadataStore):
-                assert [k for k, _ in rows] == sorted(expected)
+def test_memory_store_matches_naive_model(batches, data):
+    """Applying a serial history, every intermediate snapshot of every
+    backend must match a naive dict replayed to that version — point
+    reads, prefix scans and counts alike; after a compaction, every
+    snapshot at or after its ``min_version`` still must."""
+    stores = {name: make() for name, make in BACKENDS.items()}
+    try:
+        for store in stores.values():
+            store.create_metastore_slot(MID)
+        model_history = [{}]
+        model = {}
+        for i, batch in enumerate(batches):
+            writes = []
+            for op, key, value in batch:
+                if op == "put":
+                    writes.append(WriteOp.put(Tables.ENTITIES, key, {"v": value}))
+                    model[key] = {"v": value}
+                else:
+                    writes.append(WriteOp.delete(Tables.ENTITIES, key))
+                    model.pop(key, None)
+            for store in stores.values():
+                store.commit(MID, i, writes)
+            model_history.append(dict(model))
+        for version, expected in enumerate(model_history):
+            for store in stores.values():
+                _check_against_model(store, version, expected)
+        min_version = data.draw(st.integers(0, len(batches)), label="min_version")
+        for store in stores.values():
+            store.compact(MID, min_version)
+            for version in range(min_version, len(model_history)):
+                _check_against_model(store, version, model_history[version])
+    finally:
+        stores["sqlite"].close()
+
+
+# -- reads never write -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["memory", "treecat"])
+def test_reading_an_unknown_table_leaves_the_store_unchanged(backend):
+    store = BACKENDS[backend]()
+    store.create_metastore_slot(MID)
+    store.commit(MID, 0, [entity("c1", None, "CATALOG", "sales")])
+    versions = store.row_version_count(MID)
+    tables = set(store._slot(MID).tables)
+    snapshot = store.snapshot(MID)
+    assert snapshot.get("ghost", "k") is None
+    assert snapshot.multi_get("ghost", ["k"]) == {}
+    assert list(snapshot.scan_prefix("ghost", "k")) == []
+    assert snapshot.count("ghost", "k") == 0
+    assert store.row_version_count(MID) == versions
+    assert set(store._slot(MID).tables) == tables
