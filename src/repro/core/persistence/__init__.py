@@ -14,7 +14,13 @@ uses for selective invalidation. Three backends implement it:
   list/resolve range reads,
 * :class:`~repro.core.persistence.sqlite.SqliteMetadataStore` — a durable
   SQLite-backed store demonstrating that the contract maps onto a
-  standard relational database, as in the production system.
+  standard relational database, as in the production system; its commit
+  derives the same tree index into its one row relation.
+
+The index derivation (:func:`~repro.core.persistence.store.tree_index_rows`)
+and the ``child_id`` / ``children_ids`` / ``count_children`` reads exist
+once, in :mod:`.store`; branch snapshots (:mod:`.branching`) answer them
+from their base's index.
 """
 
 from repro.core.persistence.store import (

@@ -25,7 +25,11 @@ line of backend-specific code:
 * **Fall-through reads**: :class:`BranchSnapshot` resolves a row at
   ``(branch, version)`` by checking the overlay first (a branch-local
   tombstone hides the base row) and falling through to the base
-  snapshot pinned at the fork point.
+  snapshot pinned at the fork point. Range reads merge the overlay's
+  range with the base's, and the tree-index primitives answer from the
+  base's index at the fork version, corrected by the branch's own
+  entity rows — so a branch read costs what a trunk read costs plus
+  O(branch writes), never a full scan.
 
 ``main`` is not a ref row — it is the store's plain linear history, and
 single-branch operation takes exactly the legacy code paths (no overlay
@@ -44,11 +48,14 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 from repro.core.persistence.store import (
+    TREE_INDEX,
     ChangeRecord,
     MetadataStore,
     Snapshot,
     Tables,
     WriteOp,
+    index_prefix,
+    index_row,
 )
 from repro.errors import AlreadyExistsError, InvalidRequestError, NotFoundError
 
@@ -231,8 +238,6 @@ class BranchSnapshot(Snapshot):
     commits after the fork are invisible, per the commit-DAG model.
     """
 
-    has_tree_index = False  # overlays shadow the base tree index
-
     def __init__(self, base: Snapshot, overlay: Snapshot, bkey: str,
                  fork_version: int):
         super().__init__(base.metastore_id, overlay.version)
@@ -240,6 +245,11 @@ class BranchSnapshot(Snapshot):
         self._overlay = overlay
         self.branch = bkey
         self.fork_version = fork_version
+        #: the base's index answers for the branch (see _index_entries)
+        self.has_tree_index = base.has_tree_index
+        #: the branch's own entity rows, id -> value (None: deleted
+        #: here); read once, on first use
+        self._overlay_entities: Optional[dict[str, Optional[dict[str, Any]]]] = None
 
     def get(self, table: str, key: str) -> Optional[dict[str, Any]]:
         value = self._overlay.get(overlay_table(table, self.branch), key)
@@ -247,14 +257,32 @@ class BranchSnapshot(Snapshot):
             return None if is_tombstone(value) else value
         return self._base.get(table, key)
 
-    def scan(self, table: str) -> Iterator[tuple[str, dict[str, Any]]]:
-        merged = dict(self._base.scan(table))
-        for key, value in self._overlay.scan(overlay_table(table, self.branch)):
+    @staticmethod
+    def _merge(base_rows, overlay_rows) -> Iterator[tuple[str, dict[str, Any]]]:
+        """Overlay rows over base rows, ascending key order; an overlay
+        tombstone hides the base row."""
+        merged = dict(base_rows)
+        for key, value in overlay_rows:
             if is_tombstone(value):
                 merged.pop(key, None)
             else:
                 merged[key] = value
         return iter(sorted(merged.items()))
+
+    def scan(self, table: str) -> Iterator[tuple[str, dict[str, Any]]]:
+        return self._merge(
+            self._base.scan(table),
+            self._overlay.scan(overlay_table(table, self.branch)),
+        )
+
+    def scan_range(
+        self, table: str, start: str, end: Optional[str]
+    ) -> Iterator[tuple[str, dict[str, Any]]]:
+        # scan_prefix and count reach this through the Snapshot defaults
+        return self._merge(
+            self._base.scan_range(table, start, end),
+            self._overlay.scan_range(overlay_table(table, self.branch), start, end),
+        )
 
     def multi_get(self, table: str, keys: list[str]) -> dict[str, dict[str, Any]]:
         hits = self._overlay.multi_get(overlay_table(table, self.branch), keys)
@@ -269,6 +297,34 @@ class BranchSnapshot(Snapshot):
         if missing:
             out.update(self._base.multi_get(table, missing))
         return out
+
+    def _index_entries(
+        self, parent_id: Optional[str], kind: Optional[str] = None,
+        name: Optional[str] = None,
+    ) -> list[dict[str, Any]]:
+        """The base's index range at the fork version, minus every entity
+        the branch rewrote or deleted, plus the slots the branch's own
+        entity rows occupy under the same prefix."""
+        if self._overlay_entities is None:
+            # snapshots are immutable and the overlay holds only the
+            # branch's writes: one read serves every later lookup
+            self._overlay_entities = {
+                key: None if is_tombstone(value) else value
+                for key, value in self._overlay.scan(
+                    overlay_table(Tables.ENTITIES, self.branch))
+            }
+        overlay = self._overlay_entities
+        prefix = index_prefix(parent_id, kind, name)
+        entries = {
+            key: value
+            for key, value in self._base.scan_prefix(TREE_INDEX, prefix)
+            if value["id"] not in overlay
+        }
+        for value in overlay.values():
+            row = index_row(value)
+            if row is not None and row[0].startswith(prefix):
+                entries[row[0]] = row[1]
+        return [entries[key] for key in sorted(entries)]
 
 
 def branch_snapshot(

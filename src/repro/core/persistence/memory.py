@@ -27,6 +27,7 @@ from repro.core.persistence.store import (
     MetadataStore,
     Snapshot,
     WriteOp,
+    prefix_end,
 )
 from repro.errors import (
     AlreadyExistsError,
@@ -43,11 +44,6 @@ def _visible(versions: list[tuple[int, Optional[dict]]], at: int) -> Optional[di
         if version <= at:
             return value
     return None
-
-
-def _prefix_end(prefix: str) -> Optional[str]:
-    """Exclusive upper bound of the keys under ``prefix`` (None: unbounded)."""
-    return prefix + "\uffff" if prefix else None
 
 
 class _Table(dict):
@@ -169,14 +165,11 @@ class _MemorySnapshot(Snapshot):
             self._store._charge_range(rows, keys)
         return iter(out)
 
-    def scan_prefix(self, table: str, prefix: str):
-        return self.scan_range(table, prefix, _prefix_end(prefix))
-
     def count(self, table: str, prefix: str = "") -> int:
         # no row copies, but the same keys (and charge) as scan_prefix
         with self._slot.lock:
             rows = self._slot.read_table(table)
-            keys = rows.range_keys(prefix, _prefix_end(prefix))
+            keys = rows.range_keys(prefix, prefix_end(prefix))
             self._store._charge_range(rows, keys)
             return sum(
                 1 for key in keys if _visible(rows[key], self.version) is not None

@@ -4,6 +4,15 @@ Demonstrates the paper's claim that the persistence contract maps onto a
 standard relational database: rows are MVCC-versioned tuples in one
 relation, metastore versions live in a second relation, and the commit
 CAS runs inside a SQLite transaction.
+
+Each commit also derives the TreeCat tree index
+(:func:`~repro.core.persistence.store.tree_index_rows`) inside its
+transaction and writes the index rows into the same relation under
+``tbl='__tree_index__'``, at the commit's version. The key-ordered
+``rows_key_range`` index makes a ``(parent, kind, name)`` lookup one SQL
+range read, and ``AS OF`` reads and compaction treat the index rows like
+any other. A file written before the store kept the index
+(``PRAGMA user_version`` 0) gets it rebuilt on open.
 """
 
 from __future__ import annotations
@@ -11,13 +20,18 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+from itertools import groupby
 from typing import Any, Iterator, Optional
 
 from repro.core.persistence.store import (
+    TREE_INDEX,
     ChangeRecord,
     MetadataStore,
     Snapshot,
+    Tables,
     WriteOp,
+    prefix_end,
+    tree_index_rows,
 )
 from repro.errors import (
     AlreadyExistsError,
@@ -54,11 +68,26 @@ CREATE TABLE IF NOT EXISTS compactions (
 );
 """
 
-#: upper bound sentinel for prefix ranges: every valid key char < ￿
-_PREFIX_CEILING = "￿"
+#: ``PRAGMA user_version`` of a file whose commits derive the tree index
+_SCHEMA_VERSION = 1
+
+_INSERT_ROW = (
+    "INSERT OR REPLACE INTO rows (metastore_id, tbl, key, version, value)"
+    " VALUES (?, ?, ?, ?, ?)"
+)
+
+
+def _dumps(value: Optional[dict]) -> Optional[str]:
+    return json.dumps(value) if value is not None else None
+
+
+def _loads(text: Optional[str]) -> Optional[dict]:
+    return json.loads(text) if text is not None else None
 
 
 class _SqliteSnapshot(Snapshot):
+    has_tree_index = True
+
     def __init__(self, store: "SqliteMetadataStore", metastore_id: str, version: int):
         super().__init__(metastore_id, version)
         self._store = store
@@ -129,16 +158,12 @@ class _SqliteSnapshot(Snapshot):
         for key, value in live:
             yield key, json.loads(value)
 
-    def scan_prefix(
-        self, table: str, prefix: str
-    ) -> Iterator[tuple[str, dict[str, Any]]]:
-        return self.scan_range(table, prefix, prefix + _PREFIX_CEILING)
-
     def count(self, table: str, prefix: str = "") -> int:
-        where_end = " AND key<?" if prefix else ""
+        end = prefix_end(prefix)
+        where_end = " AND key<?" if end is not None else ""
         params: tuple = (self.metastore_id, table, prefix)
-        if prefix:
-            params += (prefix + _PREFIX_CEILING,)
+        if end is not None:
+            params += (end,)
         row = self._store._query_one(
             "SELECT COUNT(*) FROM rows r"
             f" WHERE metastore_id=? AND tbl=? AND key>=?{where_end}"
@@ -165,6 +190,10 @@ class SqliteMetadataStore(MetadataStore):
         self.range_scan_count = 0
         with self._lock:
             self._conn.executescript(_SCHEMA)
+            (user_version,) = self._conn.execute("PRAGMA user_version").fetchone()
+            if user_version < _SCHEMA_VERSION:
+                self._rebuild_tree_index()
+                self._conn.execute(f"PRAGMA user_version={_SCHEMA_VERSION}")
             self._conn.commit()
 
     # -- low-level helpers -------------------------------------------------
@@ -178,6 +207,39 @@ class SqliteMetadataStore(MetadataStore):
         with self._lock:
             cursor = self._conn.execute(sql, params)
             return cursor.fetchall()
+
+    def _latest_entity(self, metastore_id: str, key: str) -> Optional[dict]:
+        """An entity's newest committed row (inside the open transaction)."""
+        row = self._conn.execute(
+            "SELECT value FROM rows WHERE metastore_id=? AND tbl=? AND key=?"
+            " ORDER BY version DESC LIMIT 1",
+            (metastore_id, Tables.ENTITIES, key),
+        ).fetchone()
+        return _loads(row[0]) if row is not None else None
+
+    def _rebuild_tree_index(self) -> None:
+        """Derive the tree index of a file written before the store kept
+        one: replay every entity row version, in version order, through
+        the commit's derivation (in the caller's transaction)."""
+        self._conn.execute("DELETE FROM rows WHERE tbl=?", (TREE_INDEX,))
+        rows = self._conn.execute(
+            "SELECT metastore_id, version, key, value FROM rows WHERE tbl=?"
+            " ORDER BY metastore_id, version",
+            (Tables.ENTITIES,),
+        ).fetchall()
+        latest: dict[tuple[str, str], Optional[dict]] = {}
+        for (metastore_id, version), batch in groupby(rows, key=lambda r: r[:2]):
+            ops = [
+                WriteOp(Tables.ENTITIES, key, _loads(value))
+                for _, _, key, value in batch
+            ]
+            index = tree_index_rows(ops, lambda key: latest.get((metastore_id, key)))
+            self._conn.executemany(_INSERT_ROW, [
+                (metastore_id, table, key, version, _dumps(value))
+                for table, key, value in index
+            ])
+            for op in ops:
+                latest[(metastore_id, op.key)] = op.value
 
     # -- MetadataStore -------------------------------------------------------
 
@@ -231,14 +293,15 @@ class SqliteMetadataStore(MetadataStore):
                         f"{expected_version}, found {current}"
                     )
                 new_version = expected_version + 1
-                for op in ops:
-                    value = json.dumps(op.value) if op.value is not None else None
-                    self._conn.execute(
-                        "INSERT OR REPLACE INTO rows"
-                        " (metastore_id, tbl, key, version, value)"
-                        " VALUES (?, ?, ?, ?, ?)",
-                        (metastore_id, op.table, op.key, new_version, value),
-                    )
+                rows = [(op.table, op.key, op.value) for op in ops]
+                # derived against pre-commit state, so before the inserts
+                rows += tree_index_rows(
+                    ops, lambda key: self._latest_entity(metastore_id, key)
+                )
+                self._conn.executemany(_INSERT_ROW, [
+                    (metastore_id, table, key, new_version, _dumps(value))
+                    for table, key, value in rows
+                ])
                 self._conn.commit()
                 return new_version
             except sqlite3.Error:
@@ -251,10 +314,11 @@ class SqliteMetadataStore(MetadataStore):
             (metastore_id,),
         )
         since = max(from_version, int(floor[0]) if floor else 0)
+        # index rows are derived state: a replica regenerates them
         rows = self._query_all(
             "SELECT version, tbl, key, value IS NULL FROM rows"
-            " WHERE metastore_id=? AND version>? ORDER BY version",
-            (metastore_id, since),
+            " WHERE metastore_id=? AND version>? AND tbl<>? ORDER BY version",
+            (metastore_id, since, TREE_INDEX),
         )
         return [
             ChangeRecord(version=int(v), table=t, key=k, deleted=bool(d))

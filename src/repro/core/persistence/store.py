@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 
 class Tables:
@@ -58,6 +58,81 @@ class ChangeRecord:
     deleted: bool
 
 
+def prefix_end(prefix: str) -> Optional[str]:
+    """Exclusive upper bound of the keys under ``prefix`` (None: unbounded)."""
+    return prefix + "\uffff" if prefix else None
+
+
+# -- the tree index (TreeCat, PAPERS.md) -----------------------------------------
+#
+# Each commit derives, from its entity ops, index rows mapping
+#
+#     ``parent_id ␟ kind ␟ name ␟ entity_id  ->  {"id", "state"}``
+#
+# and writes them at the commit's version, so they time-travel with the
+# entities they index. The rows are derived state: they stay out of the
+# change log, and a replica regenerates them through its own commit.
+
+#: internal table holding the tree-index rows (never in ``Tables``)
+TREE_INDEX = "__tree_index__"
+
+#: key-segment separator: sorts below every printable character, so the
+#: sorted key order groups a parent's slots before any longer sibling key
+_SEP = "\x1f"
+
+
+def index_prefix(
+    parent_id: Optional[str], kind: Optional[str] = None, name: Optional[str] = None
+) -> str:
+    """Key prefix of the index rows under ``parent_id`` (and ``kind``,
+    and ``name``). ``parent_id=None`` (the metastore root) maps to the
+    empty segment; a None ``kind``/``name`` is left out."""
+    segments = [parent_id or ""] + [s for s in (kind, name) if s is not None]
+    return _SEP.join(segments) + _SEP
+
+
+def index_row(value: Optional[dict[str, Any]]) -> Optional[tuple[str, dict]]:
+    """The index row ``(key, {"id", "state"})`` an entity row occupies.
+
+    The entity id rides in the key so a soft-deleted entity and its
+    recreated namesake coexist. Deleted rows and rows without the entity
+    shape (raw contract tests, foreign payloads) occupy none.
+    """
+    if value is None or not {"id", "kind", "name"} <= value.keys():
+        return None
+    key = index_prefix(value.get("parent_id"), value["kind"], value["name"])
+    return key + value["id"], {
+        "id": value["id"], "state": value.get("state", "ACTIVE"),
+    }
+
+
+def tree_index_rows(
+    ops: Iterable[WriteOp], previous: Callable[[str], Optional[dict[str, Any]]]
+) -> list[tuple[str, str, Optional[dict]]]:
+    """``(TREE_INDEX, key, value-or-None)`` rows implied by a batch's
+    entity writes.
+
+    For every entity op: tombstone the index slot the entity's previous
+    version occupied (if the slot moved — rename, reparent, hard delete)
+    and write the slot its new version occupies. ``previous(key)`` reads
+    an entity's pre-commit row; earlier ops in the same batch take
+    precedence over it.
+    """
+    rows: list[tuple[str, str, Optional[dict]]] = []
+    pending: dict[str, Optional[dict[str, Any]]] = {}
+    for op in ops:
+        if op.table != Tables.ENTITIES:
+            continue
+        before = pending[op.key] if op.key in pending else previous(op.key)
+        pending[op.key] = op.value
+        old, new = index_row(before), index_row(op.value)
+        if old is not None and (new is None or old[0] != new[0]):
+            rows.append((TREE_INDEX, old[0], None))
+        if new is not None:
+            rows.append((TREE_INDEX, new[0], new[1]))
+    return rows
+
+
 class Snapshot(abc.ABC):
     """A consistent read view of one metastore, pinned at a version.
 
@@ -66,11 +141,13 @@ class Snapshot(abc.ABC):
     isolation.
     """
 
-    #: True when the backend maintains the hierarchical
-    #: ``(parent_id, kind, name) -> entity_id`` tree index, making
-    #: :meth:`child_id` / :meth:`children_ids` / :meth:`count_children`
-    #: single range reads (TreeCat-style backends). Flat backends leave
-    #: this False and callers fall back to filtered scans.
+    #: True when the backend derives the hierarchical
+    #: ``(parent_id, kind, name) -> entity_id`` tree index in its commit
+    #: (TreeCat and SQLite), making :meth:`child_id` /
+    #: :meth:`children_ids` / :meth:`count_children` single range reads.
+    #: A branch snapshot inherits its base's value. Only the flat
+    #: in-memory store leaves this False; callers then fall back to
+    #: filtered scans.
     has_tree_index = False
 
     def __init__(self, metastore_id: str, version: int):
@@ -109,14 +186,12 @@ class Snapshot(abc.ABC):
     ) -> Iterator[tuple[str, dict[str, Any]]]:
         """Live rows whose key starts with ``prefix``, ascending key order.
 
-        Prefix-ordered backends satisfy this with one range read over
-        their sorted key space; the default falls back to a filtered full
-        scan so flat backends stay correct (they just keep paying the
-        O(table size) cost the range-read backends avoid).
+        The range ``[prefix, prefix_end(prefix))`` of :meth:`scan_range`:
+        one range read on prefix-ordered backends, a filtered full scan
+        on flat ones (they keep paying the O(table size) cost the
+        range-read backends avoid).
         """
-        matched = [kv for kv in self.scan(table) if kv[0].startswith(prefix)]
-        matched.sort(key=lambda kv: kv[0])
-        return iter(matched)
+        return self.scan_range(table, prefix, prefix_end(prefix))
 
     def scan_range(
         self, table: str, start: str, end: Optional[str]
@@ -144,11 +219,25 @@ class Snapshot(abc.ABC):
 
     # -- tree-index reads (meaningful only when ``has_tree_index``) ----------
 
+    def _index_entries(
+        self, parent_id: Optional[str], kind: Optional[str] = None,
+        name: Optional[str] = None,
+    ) -> list[dict[str, Any]]:
+        """Live index values under one ``(parent, kind, name)`` prefix, in
+        key order: one range read, charged for the keys it touches."""
+        prefix = index_prefix(parent_id, kind, name)
+        return [value for _, value in self.scan_prefix(TREE_INDEX, prefix)]
+
     def child_id(self, parent_id: str, kind: str, name: str) -> Optional[str]:
         """Id of the ACTIVE entity ``(parent_id, kind, name)``, or None.
 
         Flat backends return None (callers must fall back to a scan).
         """
+        if not self.has_tree_index:
+            return None
+        for entry in self._index_entries(parent_id, kind, name):
+            if entry["state"] == "ACTIVE":
+                return entry["id"]
         return None
 
     def children_ids(
@@ -164,13 +253,24 @@ class Snapshot(abc.ABC):
         children — subtree exports need every row, not just the visible
         namespace.
         """
-        return None
+        if not self.has_tree_index:
+            return None
+        return [
+            entry["id"]
+            for entry in self._index_entries(parent_id, kind)
+            if include_deleted or entry["state"] == "ACTIVE"
+        ]
 
     def count_children(
         self, parent_id: str, kind: Optional[str] = None
     ) -> Optional[int]:
         """Range-count of ACTIVE children, or None without a tree index."""
-        return None
+        if not self.has_tree_index:
+            return None
+        return sum(
+            1 for entry in self._index_entries(parent_id, kind)
+            if entry["state"] == "ACTIVE"
+        )
 
 
 class MetadataStore(abc.ABC):

@@ -198,10 +198,14 @@ class _ConnectionTrackingServer(ThreadingHTTPServer):
         with self._live_lock:
             thread.start()
             self._live[request] = thread
-            self._connections_total.inc()
-            self._open_connections.inc()
 
     def process_request_thread(self, request, client_address) -> None:
+        # counted by the connection's own thread before it reads a byte,
+        # so a client that has a response has been counted; counted on
+        # the accept thread it could be answered first
+        with self._live_lock:
+            self._connections_total.inc()
+            self._open_connections.inc()
         try:
             super().process_request_thread(request, client_address)
         finally:

@@ -324,6 +324,110 @@ def test_overlay_fall_through_matches_model(store, seed):
         assert not (10 <= value["v"] <= 19)
 
 
+TREE_PARENTS = ["p0", "p1", "p2"]
+TREE_KINDS = ["TABLE", "VOLUME"]
+TREE_NAMES = ["a", "b", "c"]
+TREE_IDS = [f"e{i}" for i in range(6)] + ["e10", "e11"]
+TREE_PREFIXES = ["", "e", "e1", "e5", "x"]
+
+
+def _tree_step(rng: Random, model: dict[str, dict]) -> WriteOp:
+    """One entity write against ``model`` (applied to it): a rename, a
+    reparent, a soft delete, a hard delete, or a create that often
+    reuses the slot of a deleted entity (a same-name recreate)."""
+    key = rng.choice(TREE_IDS)
+    row = model.get(key)
+    if row is None or row["state"] != "ACTIVE":
+        dead = [v for v in model.values() if v["state"] != "ACTIVE"]
+        if dead and rng.random() < 0.6:
+            slot = rng.choice(dead)
+            parent, kind, name = slot["parent_id"], slot["kind"], slot["name"]
+        else:
+            parent, kind, name = (rng.choice(TREE_PARENTS), rng.choice(TREE_KINDS),
+                                  rng.choice(TREE_NAMES))
+        row = {"id": key, "parent_id": parent, "kind": kind, "name": name,
+               "state": "ACTIVE"}
+    else:
+        move = rng.choice(["rename", "reparent", "soft_delete", "hard_delete"])
+        if move == "hard_delete":
+            model.pop(key)
+            return delete(key)
+        row = dict(row)
+        if move == "rename":
+            row["name"] = rng.choice(TREE_NAMES)
+        elif move == "reparent":
+            row["parent_id"] = rng.choice(TREE_PARENTS)
+        else:
+            row["state"] = "DELETED"
+    model[key] = row
+    return WriteOp.put(Tables.ENTITIES, key, row)
+
+
+def _check_tree_against_model(snap, model: dict[str, dict], indexed: bool) -> None:
+    for prefix in TREE_PREFIXES:
+        under = sorted(k for k in model if k.startswith(prefix))
+        assert list(snap.scan_prefix(Tables.ENTITIES, prefix)) == [
+            (k, model[k]) for k in under], prefix
+        assert snap.count(Tables.ENTITIES, prefix) == len(under), prefix
+    assert snap.has_tree_index is indexed
+    for parent in TREE_PARENTS:
+        for kind in [None] + TREE_KINDS:
+            if not indexed:
+                assert snap.children_ids(parent, kind) is None
+                assert snap.count_children(parent, kind) is None
+                continue
+            # index order: (kind, name, id) under the parent
+            rows = sorted(
+                (v for v in model.values()
+                 if v["parent_id"] == parent and kind in (None, v["kind"])),
+                key=lambda v: (v["kind"], v["name"], v["id"]),
+            )
+            active = [v["id"] for v in rows if v["state"] == "ACTIVE"]
+            assert snap.children_ids(parent, kind, include_deleted=True) == [
+                v["id"] for v in rows], (parent, kind)
+            assert snap.children_ids(parent, kind) == active, (parent, kind)
+            assert snap.count_children(parent, kind) == len(active)
+            if kind is None:
+                continue
+            for name in TREE_NAMES:
+                named = [v["id"] for v in rows
+                         if v["name"] == name and v["state"] == "ACTIVE"]
+                assert snap.child_id(parent, kind, name) == (
+                    min(named) if named else None), (parent, kind, name)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_branch_tree_index_matches_model(store, seed):
+    """Branch name resolution (the base index at the fork, corrected by
+    the overlay's entity rows) and branch range reads agree with a dict
+    model after every rename, reparent, soft/hard delete and same-name
+    recreate — on either side of the fork, at the head and AS OF."""
+    rng = Random(seed)
+    indexed = type(store) is not InMemoryMetadataStore
+    version = 0
+    trunk: dict[str, dict] = {}
+    for _ in range(12):
+        version = store.commit(MID, version, [_tree_step(rng, trunk)])
+        _check_tree_against_model(store.snapshot(MID), trunk, indexed)
+    ref = br.create_branch(store, MID, "cat", "dev")
+    version += 1
+    model = {k: dict(v) for k, v in trunk.items()}
+    history = {version: dict(model)}  # the branch view at each version
+    for _ in range(30):
+        if rng.random() < 0.35:  # a trunk write: invisible on the branch
+            version = store.commit(MID, version, [_tree_step(rng, trunk)])
+        else:
+            version = br.commit_to_branch(
+                store, MID, ref.key, version, [_tree_step(rng, model)])
+        history[version] = dict(model)
+        _check_tree_against_model(br.branch_snapshot(store, MID, ref.key),
+                                  model, indexed)
+        as_of = rng.choice(sorted(history))
+        _check_tree_against_model(
+            br.branch_snapshot(store, MID, ref.key, at_version=as_of),
+            history[as_of], indexed)
+
+
 # ---------------------------------------------------------------------------
 # service level: isolation, merges, conflicts — through the full stack
 # ---------------------------------------------------------------------------

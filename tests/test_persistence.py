@@ -215,7 +215,7 @@ class TestRangeScans:
     def test_flat_backends_report_no_tree_index(self, store):
         self._seed(store)
         snapshot = store.snapshot(MID)
-        if isinstance(store, TreeCatMetadataStore):
+        if type(store) is not InMemoryMetadataStore:
             assert snapshot.has_tree_index
         else:
             assert not snapshot.has_tree_index
@@ -232,6 +232,15 @@ def entity(key, parent, kind, name, state="ACTIVE"):
     )
 
 
+TREE = [
+    entity("cat1", None, "CATALOG", "sales"),
+    entity("sch1", "cat1", "SCHEMA", "raw"),
+    entity("sch2", "cat1", "SCHEMA", "curated"),
+    entity("tbl1", "sch1", "TABLE", "orders"),
+    entity("vol1", "sch1", "VOLUME", "orders"),  # same name, other kind
+]
+
+
 class TestTreeIndex:
     """The treecat backend's transactional (parent, kind, name) index."""
 
@@ -239,13 +248,7 @@ class TestTreeIndex:
     def tree(self):
         backend = TreeCatMetadataStore()
         backend.create_metastore_slot(MID)
-        backend.commit(MID, 0, [
-            entity("cat1", None, "CATALOG", "sales"),
-            entity("sch1", "cat1", "SCHEMA", "raw"),
-            entity("sch2", "cat1", "SCHEMA", "curated"),
-            entity("tbl1", "sch1", "TABLE", "orders"),
-            entity("vol1", "sch1", "VOLUME", "orders"),  # same name, other kind
-        ])
+        backend.commit(MID, 0, TREE)
         return backend
 
     def test_child_id_resolves(self, tree):
@@ -323,6 +326,75 @@ class TestTreeIndex:
         snapshot.child_id("cat1", "SCHEMA", "raw")
         list(snapshot.scan_prefix(Tables.ENTITIES, "sch"))
         assert tree.range_scan_count == before + 2
+
+
+class TestTreeIndexSqlite(TestTreeIndex):
+    """The same contract, counters included, on a file-backed SQLite
+    store, whose commit derives the index into its one row relation."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        backend = SqliteMetadataStore(str(tmp_path / "tree.db"))
+        backend.create_metastore_slot(MID)
+        backend.commit(MID, 0, TREE)
+        yield backend
+        backend.close()
+
+
+#: renames, a reparent, a soft delete with a same-name recreate and a
+#: hard delete, one commit each after ``TREE``
+TREE_HISTORY = [
+    [entity("sch1", "cat1", "SCHEMA", "bronze")],
+    [entity("tbl1", "sch1", "TABLE", "orders", state="DELETED")],
+    [entity("tbl2", "sch1", "TABLE", "orders")],
+    [entity("tbl2", "sch2", "TABLE", "orders"),
+     WriteOp.delete(Tables.ENTITIES, "vol1")],
+    [entity("sch2", "cat1", "SCHEMA", "gold")],
+]
+
+
+def _tree_reads(store, version):
+    snapshot = store.snapshot(MID, at_version=version)
+    slots = [("cat1", "SCHEMA", name) for name in ("raw", "bronze", "curated", "gold")]
+    slots += [(parent, kind, "orders") for parent in ("sch1", "sch2")
+              for kind in ("TABLE", "VOLUME")]
+    return (
+        [snapshot.child_id(*slot) for slot in slots],
+        [snapshot.children_ids(parent, kind, include_deleted)
+         for parent in ("cat1", "sch1", "sch2") for kind in (None, "TABLE")
+         for include_deleted in (False, True)],
+    )
+
+
+def test_sqlite_file_without_index_rebuilds_it_on_open(tmp_path):
+    """A file written before SQLite derived the tree index (no index
+    rows, ``user_version`` 0) resolves names like a fresh one once
+    reopened — at the head and AS OF earlier versions."""
+    def build(path):
+        store = SqliteMetadataStore(str(path))
+        store.create_metastore_slot(MID)
+        version = store.commit(MID, 0, TREE)
+        for batch in TREE_HISTORY:
+            version = store.commit(MID, version, batch)
+        return store
+
+    fresh = build(tmp_path / "fresh.db")
+    old = build(tmp_path / "old.db")
+    with old._lock:
+        old._conn.execute("DELETE FROM rows WHERE tbl='__tree_index__'")
+        old._conn.execute("PRAGMA user_version=0")
+        old._conn.commit()
+    assert old.snapshot(MID).child_id("cat1", "SCHEMA", "bronze") is None
+    old.close()
+    reopened = SqliteMetadataStore(str(tmp_path / "old.db"))
+    try:
+        head = fresh.current_version(MID)
+        for version in (head, 2, 4):
+            assert _tree_reads(reopened, version) == _tree_reads(fresh, version)
+        assert reopened.snapshot(MID).child_id("sch2", "TABLE", "orders") == "tbl2"
+    finally:
+        reopened.close()
+        fresh.close()
 
 
 class TestMemorySpecific:
