@@ -20,7 +20,7 @@ from repro.clock import SimClock
 from repro.core.assets.builtin import builtin_registry
 from repro.core.cache.eviction import LfuPolicy, LruPolicy
 from repro.core.cache.node import MetastoreCacheNode, ReconcileMode
-from repro.core.model.entity import Entity, SecurableKind, new_entity_id
+from repro.core.model.entity import Entity, SecurableKind
 from repro.core.persistence.memory import InMemoryMetadataStore
 from repro.core.persistence.store import Tables, WriteOp
 from repro.core.service.catalog_service import UnityCatalogService
@@ -29,9 +29,11 @@ MODEL = LatencyModel()
 MID = "m1"
 
 
-def _entity_row(name: str) -> dict:
+def _entity_row(i: int) -> dict:
+    # counter ids, not uuids: the store scans in key order, so the cache
+    # warms (and the eviction ablation runs) the same way on every run
     entity = Entity(
-        id=new_entity_id(), kind=SecurableKind.CATALOG, name=name,
+        id=f"{i:032x}", kind=SecurableKind.CATALOG, name=f"cat{i}",
         metastore_id=MID, parent_id=MID, owner="admin",
         created_at=0.0, updated_at=0.0,
     )
@@ -44,7 +46,7 @@ def _reconcile_cost(mode: ReconcileMode, population: int,
     serve one read after ``out_of_band_writes`` it missed."""
     store = InMemoryMetadataStore()
     store.create_metastore_slot(MID)
-    rows = [_entity_row(f"cat{i}") for i in range(population)]
+    rows = [_entity_row(i) for i in range(population)]
     for i, row in enumerate(rows):
         store.commit(MID, i, [WriteOp.put(Tables.ENTITIES, row["id"], row)])
     node = MetastoreCacheNode(store, MID, builtin_registry(),
@@ -103,7 +105,7 @@ def test_ablation_eviction_policy(benchmark):
     def run(policy_factory):
         store = InMemoryMetadataStore()
         store.create_metastore_slot(MID)
-        rows = [_entity_row(f"cat{i}") for i in range(population)]
+        rows = [_entity_row(i) for i in range(population)]
         for i, row in enumerate(rows):
             store.commit(MID, i, [WriteOp.put(Tables.ENTITIES, row["id"], row)])
         node = MetastoreCacheNode(

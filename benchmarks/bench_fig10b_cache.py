@@ -8,11 +8,12 @@ throughput limit at fewer than 10K requests per second."
 
 Reproduction: two real service instances share the latency model — one
 with the write-through cache (owning node, memory-served reads), one
-serving every request from backend snapshots. Closed-loop clients issue
-the same get-table metadata call; each request's *actual* logical DB work
-(point reads + scanned rows, counted by the instrumented store) flows
-through a capacity-limited DB server model, which is what produces the
-saturation plateau.
+serving every request from backend snapshots. Both run on the unindexed
+baseline store (:mod:`repro.bench.scan_only`), whose name lookups are
+full scans. Closed-loop clients issue the same get-table metadata call;
+each request's *actual* logical DB work (point reads + scanned rows,
+counted by the instrumented store) flows through a capacity-limited DB
+server model, which is what produces the saturation plateau.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from benchmarks.conftest import write_report
 from repro.bench.latency import DbServerModel, LatencyModel
 from repro.bench.loadgen import run_closed_loop
 from repro.bench.report import PAPER_HEADERS, paper_row, render_table
+from repro.bench.scan_only import ScanOnlyMetadataStore
 from repro.clock import SimClock
 from repro.core.model.entity import SecurableKind
 from repro.core.service.catalog_service import UnityCatalogService
@@ -37,7 +39,8 @@ DURATION = 0.25
 def _build_service(enable_cache: bool):
     clock = SimClock()
     service = UnityCatalogService(
-        clock=clock, enable_cache=enable_cache, read_version_check=False,
+        store=ScanOnlyMetadataStore(), clock=clock,
+        enable_cache=enable_cache, read_version_check=False,
     )
     service.directory.add_user("admin")
     mid = service.create_metastore("bench", owner="admin").id

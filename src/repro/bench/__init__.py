@@ -5,6 +5,8 @@
   per-operation costs plus a capacity-limited DB server (FIFO queue) so
   latency/throughput curves have realistic saturation behaviour;
 * :mod:`~repro.bench.loadgen` — closed-loop load generation over SimClock;
+* :mod:`~repro.bench.scan_only` — the unindexed baseline store (every
+  range or tree read a full scan) the cache and listing benches contrast;
 * :mod:`~repro.bench.chaos` — goodput/p99 under deterministic fault
   injection (the resilience layer's acceptance bench);
 * :mod:`~repro.bench.report` — text tables and paper-vs-measured rows.

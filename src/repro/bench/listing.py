@@ -2,16 +2,17 @@
 
 Drives a list-heavy workload — browse catalogs, list a catalog's
 schemas, list a schema's tables, point-get and resolve tables — against
-two *uncached* service instances that differ only in their metadata
-backend: the flat in-memory store (every lookup is a filtered full
-scan) versus the TreeCat-style hierarchical store (every lookup is a
-range read over prefix-ordered keys and the tree index).
+two *uncached* service instances that differ only in how their store is
+read: the unindexed baseline (:mod:`repro.bench.scan_only`, mode
+``memory``: every lookup is a filtered full scan) versus the in-memory
+engine itself (mode ``treecat``: every lookup is a range read over
+prefix-ordered keys and the tree index).
 
 The estate comes from :mod:`repro.workloads`: a heavy-tailed synthetic
 deployment (deep catalogs, wide schemas) generated once and bulk-loaded
 into both backends with identical entity ids, plus a governed grant
 surface (a reader group and per-securable noise grantees) that makes
-the flat backend's per-child ``grants_on`` scans O(grant-table size).
+the baseline's per-child ``grants_on`` scans O(grant-table size).
 
 Three phases:
 
@@ -27,8 +28,8 @@ Three phases:
   fresh instances and must reproduce both backends' bytes exactly.
 
 Writes ``BENCH_listing.json``. ``--check`` exits non-zero when the tree
-backend's list/resolve throughput is below 5x the flat backend's, or
-any equivalence/determinism comparison fails.
+backend's list/resolve throughput is below 5x the baseline's, or any
+equivalence/determinism comparison fails.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from repro.bench.loadgen import run_closed_loop
 from repro.clock import SimClock
 from repro.core.auth.privileges import Privilege, PrivilegeGrant
 from repro.core.model.entity import SecurableKind
+from repro.bench.scan_only import ScanOnlyMetadataStore
 from repro.core.persistence.memory import InMemoryMetadataStore
 from repro.core.persistence.store import Tables, WriteOp
-from repro.core.persistence.treecat import TreeCatMetadataStore
 from repro.core.service.catalog_service import UnityCatalogService
 from repro.errors import UnityCatalogError
 
@@ -138,8 +139,8 @@ def _build_service(backend: str, estate: Estate, noise_grantees: int):
     service API would re-mint ids); both backends receive byte-identical
     rows, so any later divergence is the backend's fault.
     """
-    store = (TreeCatMetadataStore() if backend == "treecat"
-             else InMemoryMetadataStore())
+    store = (InMemoryMetadataStore() if backend == "treecat"
+             else ScanOnlyMetadataStore())
     service = UnityCatalogService(store=store, clock=SimClock(),
                                   enable_cache=False)
     directory = service.directory
@@ -403,7 +404,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--max-tables", type=int, default=260)
     parser.add_argument("--noise-grantees", type=int, default=4,
                         help="extra grantees per securable (grant rows the "
-                             "flat backend rescans on every visibility check)")
+                             "baseline rescans on every visibility check)")
     parser.add_argument("--script-ops", type=int, default=64)
     parser.add_argument("--equivalence-ops", type=int, default=24)
     parser.add_argument("--clients", type=int, default=4)

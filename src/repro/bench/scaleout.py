@@ -497,16 +497,32 @@ _FAILOVER_TABLES = (Tables.ENTITIES, Tables.GRANTS, Tables.TAGS,
                     Tables.POLICIES, Tables.COMMITS, Tables.SHARES)
 
 
+def entity_tokens(snapshot, mid: str) -> dict[str, str]:
+    """Every entity id of a snapshot mapped to a ``<KIND:path>`` token,
+    the path walked up ``parent_id`` below the metastore
+    (``<SCHEMA:cat0.s0>``): stable across two separately built clusters,
+    whose uuids differ, and distinct for same-named entities under
+    different parents."""
+    rows = {value["id"]: value for _, value in snapshot.scan(Tables.ENTITIES)
+            if isinstance(value, dict) and "id" in value and "kind" in value}
+    tokens = {mid: "<metastore>"}
+    for entity_id, value in rows.items():
+        names = [str(value.get("name"))]
+        parent = rows.get(value.get("parent_id"))
+        while parent is not None and parent["id"] != mid:
+            names.append(str(parent.get("name")))
+            parent = rows.get(parent.get("parent_id"))
+        tokens[entity_id] = f"<{value['kind']}:{'.'.join(reversed(names))}>"
+    return tokens
+
+
 def _normalized_state(replica, mid: str) -> str:
     """One replica's full governed state with every random uuid rewritten
-    to a stable ``<kind:name>`` token — byte-comparable across two
+    to its :func:`entity_tokens` token — byte-comparable across two
     separately built clusters, and fingerprint-stable across runs."""
     store = replica.store.inner
     snap = store.snapshot(mid)
-    ids = {mid: "<metastore>"}
-    for _, value in snap.scan(Tables.ENTITIES):
-        if isinstance(value, dict) and "id" in value and "kind" in value:
-            ids[value["id"]] = f"<{value['kind']}:{value.get('name')}>"
+    ids = entity_tokens(snap, mid)
 
     def norm(obj):
         if isinstance(obj, str):

@@ -41,7 +41,7 @@ from repro.core.auth.principals import PrincipalDirectory
 from repro.core.events import ChangeEventBus
 from repro.core.model.entity import Entity, new_entity_id
 from repro.core.persistence.memory import InMemoryMetadataStore
-from repro.core.persistence.store import MetadataStore, Tables
+from repro.core.persistence.store import MetadataStore
 from repro.core.service.catalog_service import UnityCatalogService
 from repro.core.service.pipeline import extract_branch_params
 from repro.core.service.qos import QosConfig, QosScheduler, work_snapshot
@@ -394,17 +394,9 @@ class CatalogCluster:
             count = 0
             for mid in shard.service.metastore_ids():
                 snapshot = shard.service.store.snapshot(mid)
-                # catalogs hang directly off the metastore root, so a
-                # tree-indexed backend answers with one range count
-                indexed = snapshot.count_children(mid, "CATALOG")
-                if indexed is not None:
-                    count += indexed
-                else:
-                    count += sum(
-                        1 for _, value in snapshot.scan(Tables.ENTITIES)
-                        if value.get("kind") == "CATALOG"
-                        and value.get("state") == "ACTIVE"
-                    )
+                # catalogs hang directly off the metastore root: one
+                # range count over the tree index
+                count += snapshot.count_children(mid, "CATALOG")
             yield ("uc_shard_catalogs", {"shard": shard.name}, float(count))
 
     def _collect_replicas(self) -> Iterator[tuple[str, dict, float]]:

@@ -33,9 +33,9 @@ from repro.errors import InvalidRequestError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .cluster import CatalogCluster
 
-#: auxiliary tables whose rows ride along with an entity subtree
-_AUX_TABLES = (Tables.GRANTS, Tables.TAGS, Tables.POLICIES,
-               Tables.COMMITS, Tables.SHARES)
+#: auxiliary tables whose rows ride along with an entity subtree, grants
+#: aside (those are range reads under each entity id)
+_AUX_TABLES = (Tables.TAGS, Tables.POLICIES, Tables.COMMITS, Tables.SHARES)
 
 PLANNED = "PLANNED"
 COPIED = "COPIED"
@@ -68,47 +68,28 @@ def export_subtree(store: MetadataStore, metastore_id: str,
     """
     snapshot = store.snapshot(metastore_id)
     rows: list[tuple[str, str, dict]] = []
-    if snapshot.has_tree_index:
-        # BFS over the tree index: one range read per container instead of
-        # a whole-table scan per level (include_deleted — the subtree's
-        # soft-deleted rows migrate too)
-        ids = {root_id}
-        frontier = [root_id]
-        while frontier:
-            next_frontier: list[str] = []
-            for parent in frontier:
-                for child in snapshot.children_ids(parent, include_deleted=True):
-                    if child not in ids:
-                        ids.add(child)
-                        next_frontier.append(child)
-            frontier = next_frontier
-        fetched = snapshot.multi_get(Tables.ENTITIES, sorted(ids))
-        rows.extend((Tables.ENTITIES, k, v) for k, v in fetched.items())
-        # grants key by "<securable_id>/...": one range read per entity
-        for entity_id in sorted(ids):
-            rows.extend(
-                (Tables.GRANTS, key, value)
-                for key, value in snapshot.scan_prefix(
-                    Tables.GRANTS, f"{entity_id}/"
-                )
-            )
-        aux_tables = tuple(t for t in _AUX_TABLES if t != Tables.GRANTS)
-    else:
-        entity_rows = list(snapshot.scan(Tables.ENTITIES))
-        ids = {root_id}
-        grew = True
-        while grew:  # BFS by parent_id, one pass per tree level
-            grew = False
-            for key, value in entity_rows:
-                if key not in ids and value.get("parent_id") in ids:
-                    ids.add(key)
-                    grew = True
+    # BFS over the tree index: one range read per container instead of a
+    # whole-table scan per level (include_deleted — the subtree's
+    # soft-deleted rows migrate too)
+    ids = {root_id}
+    frontier = [root_id]
+    while frontier:
+        next_frontier: list[str] = []
+        for parent in frontier:
+            for child in snapshot.children_ids(parent, include_deleted=True):
+                if child not in ids:
+                    ids.add(child)
+                    next_frontier.append(child)
+        frontier = next_frontier
+    fetched = snapshot.multi_get(Tables.ENTITIES, sorted(ids))
+    rows.extend((Tables.ENTITIES, k, v) for k, v in fetched.items())
+    # grants key by "<securable_id>/...": one range read per entity
+    for entity_id in sorted(ids):
         rows.extend(
-            (Tables.ENTITIES, key, value)
-            for key, value in entity_rows if key in ids
+            (Tables.GRANTS, key, value)
+            for key, value in snapshot.scan_prefix(Tables.GRANTS, f"{entity_id}/")
         )
-        aux_tables = _AUX_TABLES
-    for table in aux_tables:
+    for table in _AUX_TABLES:
         for key, value in snapshot.scan(table):
             in_key = any(segment in ids for segment in key.split("/"))
             in_value = (value.get("securable_id") in ids

@@ -3,15 +3,14 @@
 The paper's backend contract is small but strict: per-metastore snapshot
 reads, serializable writes via a persistent *metastore version* that every
 write transaction bumps with compare-and-swap, and a change log the cache
-uses for selective invalidation. Three backends implement it:
+uses for selective invalidation. Two backends implement it:
 
 * :class:`~repro.core.persistence.memory.InMemoryMetadataStore` — the one
   in-memory MVCC engine (row histories, CAS commit, change log,
-  compaction); flat, so range reads are filtered full scans,
-* :class:`~repro.core.persistence.treecat.TreeCatMetadataStore` — that
-  engine plus TreeCat's tree index: prefix-ordered keys and
+  compaction) with TreeCat's tree index: prefix-ordered keys and
   ``(parent, kind, name)`` index rows derived inside each commit, for
-  list/resolve range reads,
+  list/resolve range reads. :mod:`.treecat` keeps the TreeCat name for
+  the same class;
 * :class:`~repro.core.persistence.sqlite.SqliteMetadataStore` — a durable
   SQLite-backed store demonstrating that the contract maps onto a
   standard relational database, as in the production system; its commit
@@ -20,7 +19,8 @@ uses for selective invalidation. Three backends implement it:
 The index derivation (:func:`~repro.core.persistence.store.tree_index_rows`)
 and the ``child_id`` / ``children_ids`` / ``count_children`` reads exist
 once, in :mod:`.store`; branch snapshots (:mod:`.branching`) answer them
-from their base's index.
+from their base's index. Every backend has the index, so no layer above
+asks whether it is there.
 """
 
 from repro.core.persistence.store import (

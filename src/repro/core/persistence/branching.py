@@ -245,8 +245,6 @@ class BranchSnapshot(Snapshot):
         self._overlay = overlay
         self.branch = bkey
         self.fork_version = fork_version
-        #: the base's index answers for the branch (see _index_entries)
-        self.has_tree_index = base.has_tree_index
         #: the branch's own entity rows, id -> value (None: deleted
         #: here); read once, on first use
         self._overlay_entities: Optional[dict[str, Optional[dict[str, Any]]]] = None

@@ -1,5 +1,4 @@
-"""In-memory MVCC metadata store: the one engine behind both in-memory
-backends.
+"""In-memory MVCC metadata store: the one in-memory engine.
 
 Each metastore slot keeps, per (table, key), an append-ordered history of
 ``(commit_version, value-or-None)`` pairs. A snapshot pinned at version V
@@ -9,9 +8,14 @@ version, and append to the change log — giving snapshot-isolated reads
 and serializable writes at metastore granularity, exactly the contract the
 paper's cache design assumes of its backing database.
 
-This store keeps no key order: a prefix, range or count read is a
-filtered full scan and is charged as one. :mod:`.treecat` subclasses it
-with prefix-ordered tables and a tree index derived inside each commit.
+Following TreeCat ("a standalone catalog engine for large data
+systems", PAPERS.md), every table keeps its keys in one sorted list, and
+each commit derives the tree index
+(:func:`~repro.core.persistence.store.tree_index_rows`) from its entity
+ops. So a prefix, range or count read is a bisect plus a short walk,
+charged for the keys it touches, and name resolution, listing and
+subtree walks are range reads over the index, independent of metastore
+size. A full ``scan`` walks key order.
 """
 
 from __future__ import annotations
@@ -19,15 +23,19 @@ from __future__ import annotations
 import copy
 import json
 import threading
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.core.persistence.store import (
+    TREE_INDEX,
     ChangeRecord,
     MetadataStore,
     Snapshot,
+    Tables,
     WriteOp,
     prefix_end,
+    tree_index_rows,
 )
 from repro.errors import (
     AlreadyExistsError,
@@ -48,23 +56,28 @@ def _visible(versions: list[tuple[int, Optional[dict]]], at: int) -> Optional[di
 
 class _Table(dict):
     """One logical table: key -> ``[(version, value-or-None), ...]``
-    ascending by version. Scans walk insertion order; a range read
-    filters every key."""
+    ascending by version, plus every key ever written (tombstoned keys
+    stay until compaction) in ascending order, so a range read is a
+    bisect plus a short walk."""
 
-    __slots__ = ()
+    __slots__ = ("ordered",)
+
+    def __init__(self):
+        super().__init__()
+        self.ordered: list[str] = []
 
     def append(self, key: str, version: int, value: Optional[dict]) -> None:
         versions = self.get(key)
         if versions is None:
             versions = self[key] = []
+            insort(self.ordered, key)
         versions.append((version, value))
-
-    def scan_keys(self) -> Iterable[str]:
-        return self
 
     def range_keys(self, start: str, end: Optional[str]) -> list[str]:
         """Keys in ``[start, end)``, ascending; ``end=None`` is unbounded."""
-        return sorted(k for k in self if k >= start and (end is None or k < end))
+        lo = bisect_left(self.ordered, start)
+        hi = bisect_left(self.ordered, end) if end is not None else len(self.ordered)
+        return self.ordered[lo:hi]
 
     def compact(self, min_version: int) -> int:
         """Drop versions invisible at or after ``min_version``; returns
@@ -86,13 +99,13 @@ class _Table(dict):
                 del self[key]
             else:
                 self[key] = kept
+        if len(self.ordered) != len(self):
+            self.ordered = sorted(self)
         return removed
 
 
 @dataclass
 class _Slot:
-    #: the store's table class, instantiated on a table's first write
-    new_table: type
     version: int = 0
     tables: dict[str, _Table] = field(default_factory=dict)
     changelog: list[ChangeRecord] = field(default_factory=list)
@@ -101,13 +114,13 @@ class _Slot:
     def table(self, name: str) -> _Table:
         table = self.tables.get(name)
         if table is None:
-            table = self.tables[name] = self.new_table()
+            table = self.tables[name] = _Table()
         return table
 
     def read_table(self, name: str) -> _Table:
         """The named table, or an empty one: a read never creates a table."""
         table = self.tables.get(name)
-        return table if table is not None else self.new_table()
+        return table if table is not None else _Table()
 
 
 class _MemorySnapshot(Snapshot):
@@ -153,7 +166,7 @@ class _MemorySnapshot(Snapshot):
         # materialized under the lock for a consistent iteration
         with self._slot.lock:
             rows = self._slot.read_table(table)
-            out = self._live(rows, rows.scan_keys())
+            out = self._live(rows, rows.ordered)
         self._store.scan_row_count += len(out)
         return iter(out)
 
@@ -162,7 +175,9 @@ class _MemorySnapshot(Snapshot):
             rows = self._slot.read_table(table)
             keys = rows.range_keys(start, end)
             out = self._live(rows, keys)
-            self._store._charge_range(rows, keys)
+            # one range read, charged for the keys it touched
+            self._store.range_scan_count += 1
+            self._store.scan_row_count += len(keys)
         return iter(out)
 
     def count(self, table: str, prefix: str = "") -> int:
@@ -170,7 +185,8 @@ class _MemorySnapshot(Snapshot):
         with self._slot.lock:
             rows = self._slot.read_table(table)
             keys = rows.range_keys(prefix, prefix_end(prefix))
-            self._store._charge_range(rows, keys)
+            self._store.range_scan_count += 1
+            self._store.scan_row_count += len(keys)
             return sum(
                 1 for key in keys if _visible(rows[key], self.version) is not None
             )
@@ -184,11 +200,6 @@ class InMemoryMetadataStore(MetadataStore):
     latency to database round-trips.
     """
 
-    _table_type: type = _Table
-    _snapshot_type: type = _MemorySnapshot
-    #: tables filled by :meth:`_derived_rows`, left out of size estimates
-    _derived_tables: tuple[str, ...] = ()
-
     def __init__(self):
         self._slots: dict[str, _Slot] = {}
         self._global_lock = threading.RLock()
@@ -196,8 +207,6 @@ class InMemoryMetadataStore(MetadataStore):
         self.commit_count = 0
         self.scan_row_count = 0
         self.multi_get_count = 0
-        #: flat backend: never issues true range reads (fallback scans
-        #: are charged to scan_row_count above)
         self.range_scan_count = 0
 
     def _slot(self, metastore_id: str) -> _Slot:
@@ -206,25 +215,13 @@ class InMemoryMetadataStore(MetadataStore):
         except KeyError:
             raise NotFoundError(f"no such metastore slot: {metastore_id}")
 
-    def _charge_range(self, rows: _Table, touched: list[str]) -> None:
-        # no key order to exploit: a range read is a filtered full scan
-        # that examines every row of the table, and is charged as one
-        self.scan_row_count += len(rows)
-
-    def _derived_rows(
-        self, slot: _Slot, ops: list[WriteOp]
-    ) -> Iterable[tuple[str, str, Optional[dict]]]:
-        """``(table, key, value)`` rows a commit of ``ops`` implies beyond
-        the ops themselves; computed against pre-commit state."""
-        return ()
-
     # -- MetadataStore ------------------------------------------------------
 
     def create_metastore_slot(self, metastore_id: str) -> None:
         with self._global_lock:
             if metastore_id in self._slots:
                 raise AlreadyExistsError(f"metastore slot exists: {metastore_id}")
-            self._slots[metastore_id] = _Slot(self._table_type)
+            self._slots[metastore_id] = _Slot()
 
     def metastore_ids(self) -> list[str]:
         with self._global_lock:
@@ -244,7 +241,7 @@ class InMemoryMetadataStore(MetadataStore):
                     f"snapshot version {version} is ahead of committed {slot.version}"
                 )
             self.read_count += 1
-            return self._snapshot_type(slot, metastore_id, version, self)
+            return _MemorySnapshot(slot, metastore_id, version, self)
 
     def commit(self, metastore_id: str, expected_version: int, ops: list[WriteOp]) -> int:
         slot = self._slot(metastore_id)
@@ -255,7 +252,13 @@ class InMemoryMetadataStore(MetadataStore):
                     f"found {slot.version}"
                 )
             new_version = expected_version + 1
-            derived = self._derived_rows(slot, ops)
+            entities = slot.read_table(Tables.ENTITIES)
+
+            def previous(key: str) -> Optional[dict]:
+                versions = entities.get(key)
+                return versions[-1][1] if versions else None
+
+            index = tree_index_rows(ops, previous)
             for op in ops:
                 value = copy.deepcopy(op.value) if op.value is not None else None
                 slot.table(op.table).append(op.key, new_version, value)
@@ -267,10 +270,10 @@ class InMemoryMetadataStore(MetadataStore):
                         deleted=op.value is None,
                     )
                 )
-            # derived rows are versioned like everything else, but stay
+            # index rows are versioned like everything else, but stay
             # out of the change log: a replica rebuilds them from the ops
             # it replays through its own commit()
-            for table, key, value in derived:
+            for table, key, value in index:
                 slot.table(table).append(key, new_version, value)
             slot.version = new_version
             self.commit_count += 1
@@ -291,7 +294,7 @@ class InMemoryMetadataStore(MetadataStore):
     # -- diagnostics ----------------------------------------------------------
 
     def row_version_count(self, metastore_id: str) -> int:
-        """Total stored row versions, derived rows included (used by
+        """Total stored row versions, tree-index rows included (used by
         compaction tests)."""
         slot = self._slot(metastore_id)
         with slot.lock:
@@ -302,7 +305,7 @@ class InMemoryMetadataStore(MetadataStore):
             )
 
     def approximate_size_bytes(self, metastore_id: str) -> int:
-        """Rough serialized size of a metastore's live metadata, derived
+        """Rough serialized size of a metastore's live metadata, tree-index
         rows excluded.
 
         Used by the Figure 4 (working-set size) benchmark.
@@ -311,7 +314,7 @@ class InMemoryMetadataStore(MetadataStore):
         total = 0
         with slot.lock:
             for name, table in slot.tables.items():
-                if name in self._derived_tables:
+                if name == TREE_INDEX:
                     continue
                 for versions in table.values():
                     value = versions[-1][1]

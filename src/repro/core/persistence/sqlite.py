@@ -86,8 +86,6 @@ def _loads(text: Optional[str]) -> Optional[dict]:
 
 
 class _SqliteSnapshot(Snapshot):
-    has_tree_index = True
-
     def __init__(self, store: "SqliteMetadataStore", metastore_id: str, version: int):
         super().__init__(metastore_id, version)
         self._store = store

@@ -114,8 +114,10 @@ def tree_index_rows(
 
     For every entity op: tombstone the index slot the entity's previous
     version occupied (if the slot moved — rename, reparent, hard delete)
-    and write the slot its new version occupies. ``previous(key)`` reads
-    an entity's pre-commit row; earlier ops in the same batch take
+    and write the slot its new version occupies, unless the slot and its
+    state are unchanged (a comment or spec edit writes no index row: the
+    earlier identical version stays visible). ``previous(key)`` reads an
+    entity's pre-commit row; earlier ops in the same batch take
     precedence over it.
     """
     rows: list[tuple[str, str, Optional[dict]]] = []
@@ -128,7 +130,7 @@ def tree_index_rows(
         old, new = index_row(before), index_row(op.value)
         if old is not None and (new is None or old[0] != new[0]):
             rows.append((TREE_INDEX, old[0], None))
-        if new is not None:
+        if new is not None and new != old:
             rows.append((TREE_INDEX, new[0], new[1]))
     return rows
 
@@ -140,15 +142,6 @@ class Snapshot(abc.ABC):
     before ``version`` — the paper's metastore-granularity snapshot
     isolation.
     """
-
-    #: True when the backend derives the hierarchical
-    #: ``(parent_id, kind, name) -> entity_id`` tree index in its commit
-    #: (TreeCat and SQLite), making :meth:`child_id` /
-    #: :meth:`children_ids` / :meth:`count_children` single range reads.
-    #: A branch snapshot inherits its base's value. Only the flat
-    #: in-memory store leaves this False; callers then fall back to
-    #: filtered scans.
-    has_tree_index = False
 
     def __init__(self, metastore_id: str, version: int):
         self.metastore_id = metastore_id
@@ -186,10 +179,7 @@ class Snapshot(abc.ABC):
     ) -> Iterator[tuple[str, dict[str, Any]]]:
         """Live rows whose key starts with ``prefix``, ascending key order.
 
-        The range ``[prefix, prefix_end(prefix))`` of :meth:`scan_range`:
-        one range read on prefix-ordered backends, a filtered full scan
-        on flat ones (they keep paying the O(table size) cost the
-        range-read backends avoid).
+        The range ``[prefix, prefix_end(prefix))`` of :meth:`scan_range`.
         """
         return self.scan_range(table, prefix, prefix_end(prefix))
 
@@ -198,7 +188,9 @@ class Snapshot(abc.ABC):
     ) -> Iterator[tuple[str, dict[str, Any]]]:
         """Live rows with ``start <= key < end``, ascending key order.
 
-        ``end=None`` means unbounded. Default: filtered full scan.
+        ``end=None`` means unbounded. Every backend overrides this with
+        a range read over its ordered keys; the default, a filtered full
+        scan, serves only test doubles that implement ``scan`` alone.
         """
         matched = [
             kv for kv in self.scan(table)
@@ -217,7 +209,11 @@ class Snapshot(abc.ABC):
             return sum(1 for _ in self.scan_prefix(table, prefix))
         return sum(1 for _ in self.scan(table))
 
-    # -- tree-index reads (meaningful only when ``has_tree_index``) ----------
+    # -- tree-index reads -------------------------------------------------------
+    #
+    # Every backend derives the tree index in its commit, so each of these
+    # is one range read over it (a branch snapshot overrides
+    # ``_index_entries`` to correct its base's index by the overlay).
 
     def _index_entries(
         self, parent_id: Optional[str], kind: Optional[str] = None,
@@ -229,12 +225,7 @@ class Snapshot(abc.ABC):
         return [value for _, value in self.scan_prefix(TREE_INDEX, prefix)]
 
     def child_id(self, parent_id: str, kind: str, name: str) -> Optional[str]:
-        """Id of the ACTIVE entity ``(parent_id, kind, name)``, or None.
-
-        Flat backends return None (callers must fall back to a scan).
-        """
-        if not self.has_tree_index:
-            return None
+        """Id of the ACTIVE entity ``(parent_id, kind, name)``, or None."""
         for entry in self._index_entries(parent_id, kind, name):
             if entry["state"] == "ACTIVE":
                 return entry["id"]
@@ -245,28 +236,22 @@ class Snapshot(abc.ABC):
         parent_id: str,
         kind: Optional[str] = None,
         include_deleted: bool = False,
-    ) -> Optional[list[str]]:
-        """Entity ids of ``parent_id``'s direct children via the tree
-        index (one range read), or None when the backend has no index.
+    ) -> list[str]:
+        """Entity ids of ``parent_id``'s direct children, in
+        ``(kind, name, id)`` order.
 
         ``include_deleted`` also returns soft-deleted/provisioning
         children — subtree exports need every row, not just the visible
         namespace.
         """
-        if not self.has_tree_index:
-            return None
         return [
             entry["id"]
             for entry in self._index_entries(parent_id, kind)
             if include_deleted or entry["state"] == "ACTIVE"
         ]
 
-    def count_children(
-        self, parent_id: str, kind: Optional[str] = None
-    ) -> Optional[int]:
-        """Range-count of ACTIVE children, or None without a tree index."""
-        if not self.has_tree_index:
-            return None
+    def count_children(self, parent_id: str, kind: Optional[str] = None) -> int:
+        """Number of ACTIVE direct children (of ``kind``, if given)."""
         return sum(
             1 for entry in self._index_entries(parent_id, kind)
             if entry["state"] == "ACTIVE"

@@ -101,11 +101,12 @@ class MetastoreView(abc.ABC):
 
 
 class SnapshotView(MetastoreView):
-    """The uncached read path: every lookup scans the backing snapshot.
+    """The uncached read path: every lookup reads the backing snapshot.
 
-    Deliberately does no indexing — this is the "without caching" system
-    configuration the paper's Figure 10(b) contrasts, where each request
-    pays database reads proportional to the metastore size.
+    No cache and no memo beyond one view's lifetime — the "without
+    caching" configuration the paper's Figure 10(b) contrasts. Name
+    resolution and listing are range reads over the store's tree index,
+    so a lookup reads the rows it needs, not the whole metastore.
     """
 
     def __init__(self, snapshot: Snapshot, registry):
@@ -136,23 +137,13 @@ class SnapshotView(MetastoreView):
     def entity_by_name(
         self, parent_id: Optional[str], namespace_group: str, name: str
     ) -> Optional[Entity]:
-        if self._snapshot.has_tree_index:
-            # one point-range read per kind sharing the namespace group
-            for manifest in self._registry:
-                if manifest.namespace_group != namespace_group:
-                    continue
-                child = self._snapshot.child_id(
-                    parent_id, manifest.kind.value, name
-                )
-                if child is not None:
-                    return self.entity_by_id(child)
-            return None
-        for entity in self._iter_entities():
-            if entity.parent_id != parent_id or entity.name != name:
+        # one point-range read per kind sharing the namespace group
+        for manifest in self._registry:
+            if manifest.namespace_group != namespace_group:
                 continue
-            manifest = self._registry.maybe_get(entity.kind)
-            if manifest is not None and manifest.namespace_group == namespace_group:
-                return entity
+            child = self._snapshot.child_id(parent_id, manifest.kind.value, name)
+            if child is not None:
+                return self.entity_by_id(child)
         return None
 
     def children(
@@ -161,17 +152,11 @@ class SnapshotView(MetastoreView):
         child_ids = self._snapshot.children_ids(
             parent_id, kind.value if kind is not None else None
         )
-        if child_ids is not None:
-            rows = self._snapshot.multi_get(Tables.ENTITIES, child_ids)
-            return [
-                entity
-                for entity in (Entity.from_dict(v) for v in rows.values())
-                if entity.is_active
-            ]
+        rows = self._snapshot.multi_get(Tables.ENTITIES, child_ids)
         return [
             entity
-            for entity in self._iter_entities()
-            if entity.parent_id == parent_id and (kind is None or entity.kind is kind)
+            for entity in (Entity.from_dict(v) for v in rows.values())
+            if entity.is_active
         ]
 
     def entities(self, kind: Optional[SecurableKind] = None) -> Iterator[Entity]:
@@ -196,8 +181,7 @@ class SnapshotView(MetastoreView):
         return self._build_trie().find_overlapping(path)
 
     def grants_on(self, securable_id: str) -> list[PrivilegeGrant]:
-        # one range read on prefix-ordered backends (grant keys start with
-        # the securable id); a filtered full scan on flat ones
+        # one range read: grant keys start with the securable id
         return [
             PrivilegeGrant.from_dict(value)
             for _, value in self._snapshot.scan_prefix(

@@ -434,21 +434,24 @@ def test_sharded_cluster_equivalent_to_single_shard_treecat():
     assert_equivalent(seed=9, count=40, shards=3, backend="treecat")
 
 
-def test_treecat_backend_equivalent_to_memory_backend():
-    """The tree-indexed fast paths must be invisible: a treecat-backed
-    catalog and a flat-memory one driven by the same ops agree on every
-    outcome, the final state, and the audited decisions."""
+def test_sqlite_backend_equivalent_to_memory_backend():
+    """The two independent store implementations must be invisible: a
+    SQLite-backed catalog and an in-memory one driven by the same ops
+    agree on every outcome, the final state, and the audited
+    decisions."""
     ops = generate_ops(13, 60)
-    flat, mid_flat = build_cluster(1, "memory")
-    tree, mid_tree = build_cluster(1, "treecat")
+    memory, mid_memory = build_cluster(1, "memory")
+    sqlite, mid_sqlite = build_cluster(1, "sqlite")
     for index, op in enumerate(ops):
-        out_flat = apply_op(flat, mid_flat, op)
-        out_tree = apply_op(tree, mid_tree, op)
-        assert out_flat == out_tree, (
-            f"op {index} {op!r} diverged: flat={out_flat!r} tree={out_tree!r}"
+        out_memory = apply_op(memory, mid_memory, op)
+        out_sqlite = apply_op(sqlite, mid_sqlite, op)
+        assert out_memory == out_sqlite, (
+            f"op {index} {op!r} diverged: memory={out_memory!r} "
+            f"sqlite={out_sqlite!r}"
         )
-    assert state_fingerprint(flat, mid_flat) == state_fingerprint(tree, mid_tree)
-    assert audit_fingerprint(flat) == audit_fingerprint(tree)
+    assert (state_fingerprint(memory, mid_memory)
+            == state_fingerprint(sqlite, mid_sqlite))
+    assert audit_fingerprint(memory) == audit_fingerprint(sqlite)
 
 
 def test_equivalence_holds_on_five_shards():

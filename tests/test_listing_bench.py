@@ -3,7 +3,7 @@
 Runs a deliberately tiny estate (too small to clear the 5x performance
 gate — fixed per-request costs dominate at this scale), and checks the
 properties that must hold at ANY scale: cross-backend equivalence,
-deterministic reruns, and the flat-vs-tree scan-work asymmetry.
+deterministic reruns, and the unindexed-vs-tree scan-work asymmetry.
 """
 
 import json
@@ -32,8 +32,8 @@ def test_listing_bench_smoke(tmp_path):
 
     tree = report["modes"]["treecat"]
     flat = report["modes"]["memory"]
-    # the flat backend never issues a range read; the tree backend leans
-    # on them and examines far fewer rows for the same answers
+    # the scan-only baseline never issues a range read; the tree backend
+    # leans on them and examines far fewer rows for the same answers
     assert flat["store_range_scans"] == 0
     assert tree["store_range_scans"] > 0
     assert tree["store_scan_rows"] * 5 < flat["store_scan_rows"]

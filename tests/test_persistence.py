@@ -1,6 +1,6 @@
 """Metadata store contract: every backend must provide per-metastore
-snapshot isolation, serializable (CAS) writes, and key-ordered range
-reads (natively or via the filtered-scan fallback)."""
+snapshot isolation, serializable (CAS) writes, key-ordered range reads,
+and the tree index derived inside its commit."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.persistence.memory import InMemoryMetadataStore
 from repro.core.persistence.sqlite import SqliteMetadataStore
 from repro.core.persistence.treecat import TreeCatMetadataStore
-from repro.core.persistence.store import Tables, WriteOp
+from repro.core.persistence.store import TREE_INDEX, Tables, WriteOp
 from repro.errors import AlreadyExistsError, ConcurrentModificationError, NotFoundError
 
 MID = "ms-1"
@@ -16,6 +16,7 @@ MID = "ms-1"
 BACKENDS = {
     "memory": lambda: InMemoryMetadataStore(),
     "sqlite": lambda: SqliteMetadataStore(":memory:"),
+    # the same class as "memory", reached through the TreeCat import path
     "treecat": lambda: TreeCatMetadataStore(),
 }
 
@@ -212,17 +213,6 @@ class TestRangeScans:
         store.commit(MID, 1, [WriteOp.delete(Tables.ENTITIES, "b/1")])
         assert store.snapshot(MID).count(Tables.ENTITIES, "b/") == 1
 
-    def test_flat_backends_report_no_tree_index(self, store):
-        self._seed(store)
-        snapshot = store.snapshot(MID)
-        if type(store) is not InMemoryMetadataStore:
-            assert snapshot.has_tree_index
-        else:
-            assert not snapshot.has_tree_index
-            assert snapshot.child_id("p", "TABLE", "t") is None
-            assert snapshot.children_ids("p") is None
-            assert snapshot.count_children("p") is None
-
 
 def entity(key, parent, kind, name, state="ACTIVE"):
     return WriteOp.put(
@@ -242,7 +232,7 @@ TREE = [
 
 
 class TestTreeIndex:
-    """The treecat backend's transactional (parent, kind, name) index."""
+    """The in-memory engine's transactional (parent, kind, name) index."""
 
     @pytest.fixture
     def tree(self):
@@ -326,6 +316,26 @@ class TestTreeIndex:
         snapshot.child_id("cat1", "SCHEMA", "raw")
         list(snapshot.scan_prefix(Tables.ENTITIES, "sch"))
         assert tree.range_scan_count == before + 2
+
+    def test_edit_that_keeps_the_slot_writes_no_index_version(self, tree):
+        before = _index_versions(tree)
+        for i in range(5):
+            row = {"id": "tbl1", "parent_id": "sch1", "kind": "TABLE",
+                   "name": "orders", "state": "ACTIVE", "comment": f"c{i}"}
+            tree.commit(MID, 1 + i, [WriteOp.put(Tables.ENTITIES, "tbl1", row)])
+        assert _index_versions(tree) == before
+        for version in (1, 6):
+            snapshot = tree.snapshot(MID, at_version=version)
+            assert snapshot.child_id("sch1", "TABLE", "orders") == "tbl1"
+
+
+def _index_versions(store) -> int:
+    """Stored tree-index row versions, tombstones included."""
+    if isinstance(store, SqliteMetadataStore):
+        return store._query_one(
+            "SELECT COUNT(*) FROM rows WHERE tbl=?", (TREE_INDEX,))[0]
+    return sum(len(versions)
+               for versions in store._slot(MID).tables[TREE_INDEX].values())
 
 
 class TestTreeIndexSqlite(TestTreeIndex):

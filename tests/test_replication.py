@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.scaleout import entity_tokens
 from repro.clock import SimClock
 from repro.core.auth.privileges import Privilege
 from repro.core.cluster import CatalogCluster
@@ -102,16 +103,14 @@ def dump(replica):
 
 def normalized_dump(replica):
     """`dump`, with every (random uuid) entity id rewritten to a stable
-    ``<kind:name>`` token — comparable across two separately built
-    clusters, where uuids differ but the governed state must not."""
+    path-qualified ``<KIND:cat.schema>`` token — comparable across two
+    separately built clusters, where uuids differ but the governed state
+    must not."""
     store = replica.store.inner
     out = {}
     for mid in store.metastore_ids():
         snap = store.snapshot(mid)
-        ids = {mid: "<metastore>"}
-        for _, value in snap.scan(Tables.ENTITIES):
-            if isinstance(value, dict) and "id" in value and "kind" in value:
-                ids[value["id"]] = f"<{value['kind']}:{value.get('name')}>"
+        ids = entity_tokens(snap, mid)
 
         def norm(obj, ids=ids):
             if isinstance(obj, str):

@@ -18,8 +18,8 @@ MID = "m1"
 
 @pytest.fixture(params=["memory", "treecat", "sqlite", "treecat-branch"])
 def world(request, tmp_path):
-    # same view semantics whether lookups are full scans (memory) or
-    # tree-index range reads (treecat, sqlite, and a branch over treecat)
+    # same view semantics, and tree-index range reads, on the in-memory
+    # engine (by either name), on SQLite, and on a branch
     if request.param == "memory":
         store = InMemoryMetadataStore()
     elif request.param == "sqlite":
@@ -146,8 +146,6 @@ class TestSnapshotView:
 
     def test_tree_backend_resolves_without_full_scans(self, world):
         view, entities, store = world
-        if type(store) is InMemoryMetadataStore:
-            pytest.skip("flat backend has no tree index")
         before = store.scan_row_count
         view.entity_by_name(entities["schema"].id, "tabular", "t")
         view.children(entities["schema"].id)
