@@ -14,20 +14,21 @@ with byte-stable fingerprints — that
   commit (single-history-equivalent: one version bump, rows byte-equal
   to the branch's), and a contended merge raises
   :class:`~repro.errors.MergeConflictError` naming the securable;
-* the whole run is **deterministic**: same seed → identical fingerprint.
+* the whole run is **deterministic**: same seed → identical report.
 
 ``python -m repro.bench.branching --check`` enforces all of the above
-and writes ``BENCH_branching.json`` — the CI ``bench-branching`` gate.
+(the rerun through :mod:`repro.bench.harness`) and writes
+``BENCH_branching.json`` — the CI ``branching`` gate.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
 from typing import Any, Optional
 
+from repro.bench import harness
 from repro.clock import SimClock
 from repro.core.model.entity import Entity, SecurableKind
 from repro.core.service.catalog_service import UnityCatalogService
@@ -79,30 +80,6 @@ class BranchingReport:
     conflict_raised: bool = False
     conflict_securable: str = ""
     details: dict[str, Any] = field(default_factory=dict)
-
-    def fingerprint(self) -> str:
-        """Byte-stable digest; same seed must reproduce it exactly."""
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "estate_entities": self.estate_entities,
-                "trace_events": self.trace_events,
-                "replay_ops": self.replay_ops,
-                "prod_ops": self.prod_ops,
-                "leaks_into_main": self.leaks_into_main,
-                "leaks_into_branch": self.leaks_into_branch,
-                "outcome_mismatches": self.outcome_mismatches,
-                "audit_mismatches": self.audit_mismatches,
-                "merged_changes": self.merged_changes,
-                "merge_version_cost": self.merge_version_cost,
-                "merge_landed_rows": self.merge_landed_rows,
-                "merge_missing_rows": self.merge_missing_rows,
-                "conflict_raised": self.conflict_raised,
-                "conflict_securable": self.conflict_securable,
-                "details": self.details,
-            },
-            sort_keys=True,
-        )
 
     @property
     def clean(self) -> bool:
@@ -441,91 +418,43 @@ def run_branching_scenario(seed: int = 23) -> BranchingReport:
 
 
 # ----------------------------------------------------------------------
-# CLI
+# the bench
 # ----------------------------------------------------------------------
 
 
-def render_report(report: BranchingReport) -> str:
+def run_bench(args) -> dict[str, Any]:
+    report = run_branching_scenario(args.seed)
+    return {**asdict(report), "checks": {"clean": report.clean}}
+
+
+def render_report(report: dict[str, Any]) -> str:
     lines = [
         "branching bench — zero-copy forks, replayable audit",
-        f"  seed {report.seed}: estate {report.estate_entities} entities, "
-        f"trace {report.trace_events} events",
-        f"  replayed {report.replay_ops} ops on branch while "
-        f"{report.prod_ops} production writes hit main",
-        f"  leakage: {report.leaks_into_main} into main, "
-        f"{report.leaks_into_branch} into branch",
-        f"  replay parity vs control: {report.outcome_mismatches} outcome / "
-        f"{report.audit_mismatches} audit mismatches",
-        f"  merge: {report.merged_changes} changes in "
-        f"{report.merge_version_cost} commit(s), "
-        f"{report.merge_missing_rows} rows missing after merge",
-        f"  conflict: raised={report.conflict_raised} "
-        f"on {report.conflict_securable or '<none>'}",
+        f"  seed {report['seed']}: estate {report['estate_entities']} "
+        f"entities, trace {report['trace_events']} events",
+        f"  replayed {report['replay_ops']} ops on branch while "
+        f"{report['prod_ops']} production writes hit main",
+        f"  leakage: {report['leaks_into_main']} into main, "
+        f"{report['leaks_into_branch']} into branch",
+        f"  replay parity vs control: {report['outcome_mismatches']} "
+        f"outcome / {report['audit_mismatches']} audit mismatches",
+        f"  merge: {report['merged_changes']} changes in "
+        f"{report['merge_version_cost']} commit(s), "
+        f"{report['merge_missing_rows']} rows missing after merge",
+        f"  conflict: raised={report['conflict_raised']} "
+        f"on {report['conflict_securable'] or '<none>'}",
     ]
     return "\n".join(lines)
 
 
+SCENARIO = harness.Scenario(
+    name="branching", doc=__doc__, seed=23, run=run_bench,
+    summary=render_report,
+)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=23)
-    parser.add_argument(
-        "--check", action="store_true",
-        help="enforce the gates (leakage, merge, determinism) and write "
-             "the JSON report",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_branching.json",
-        help="where --check writes the JSON report",
-    )
-    args = parser.parse_args(argv)
-
-    report = run_branching_scenario(args.seed)
-    print(render_report(report))
-
-    failed = False
-    if args.check:
-        rerun = run_branching_scenario(args.seed)
-        deterministic = report.fingerprint() == rerun.fingerprint()
-        if not deterministic:
-            print(f"FAIL: seed {args.seed} is not deterministic")
-            failed = True
-        if not report.clean:
-            print("FAIL: gates violated — "
-                  f"leaks=({report.leaks_into_main},"
-                  f"{report.leaks_into_branch}) "
-                  f"mismatches=({report.outcome_mismatches},"
-                  f"{report.audit_mismatches}) "
-                  f"merge=({report.merged_changes} changes, "
-                  f"{report.merge_version_cost} commits, "
-                  f"{report.merge_missing_rows} missing) "
-                  f"conflict_raised={report.conflict_raised}")
-            failed = True
-        artifact = {
-            "seed": report.seed,
-            "deterministic": deterministic,
-            "clean": report.clean,
-            "replay_ops": report.replay_ops,
-            "prod_ops": report.prod_ops,
-            "leaks_into_main": report.leaks_into_main,
-            "leaks_into_branch": report.leaks_into_branch,
-            "outcome_mismatches": report.outcome_mismatches,
-            "audit_mismatches": report.audit_mismatches,
-            "merged_changes": report.merged_changes,
-            "merge_version_cost": report.merge_version_cost,
-            "conflict_raised": report.conflict_raised,
-            "conflict_securable": report.conflict_securable,
-            "details": report.details,
-        }
-        import os
-        directory = os.path.dirname(args.out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(args.out, "w") as handle:
-            json.dump(artifact, handle, indent=2, sort_keys=True)
-        if not failed:
-            print(f"branching gates OK (seed {args.seed}, deterministic, "
-                  "zero leakage, clean merge, conflict detected)")
-    return 1 if failed else 0
+    return harness.main(SCENARIO, argv)
 
 
 if __name__ == "__main__":

@@ -11,18 +11,18 @@ bar is **zero user-visible errors** at a 10% storage fault rate.
 
 Everything is deterministic: same seed → byte-identical goodput, tail
 latencies, and retry/fault/breaker counters. ``python -m
-repro.bench.chaos --check-determinism`` runs every seed twice and fails
-on any divergence — the CI ``chaos`` job's gate.
+repro.bench.chaos --check`` fails on any user-visible error and, through
+:mod:`repro.bench.harness`, runs every seed twice and fails on any
+divergence. The JSON report (``BENCH_chaos.json``) is not committed.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
-from typing import Optional
+from typing import Any, Optional
 
+from repro.bench import harness
 from repro.bench.report import render_table
 from repro.bench.stats import summarize
 from repro.clock import SimClock
@@ -63,26 +63,6 @@ class ChaosReport:
 
     def latency_summary(self) -> dict[str, float]:
         return summarize(self.latencies)
-
-    def fingerprint(self) -> str:
-        """A byte-stable digest of every counter the run produced.
-
-        Two runs with the same seed must produce identical fingerprints;
-        the CI chaos job enforces exactly that.
-        """
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "ok": self.ok,
-                "user_errors": self.user_errors,
-                "sim_seconds": self.sim_seconds,
-                "latencies": self.latencies,
-                "retries": self.retries,
-                "faults": self.faults,
-                "metrics": self.metrics,
-            },
-            sort_keys=True,
-        )
 
     def summary_row(self) -> list[object]:
         latency = self.latency_summary()
@@ -194,65 +174,42 @@ def run_chaos_scenario(
     return report
 
 
-def check_determinism(
-    seeds: list[int], operations: int, fault_rate: float
-) -> tuple[list[ChaosReport], list[int]]:
-    """Run each seed twice; return (first-run reports, mismatched seeds)."""
-    reports: list[ChaosReport] = []
-    mismatched: list[int] = []
-    for seed in seeds:
-        first = run_chaos_scenario(seed, operations, fault_rate)
-        second = run_chaos_scenario(seed, operations, fault_rate)
-        if first.fingerprint() != second.fingerprint():
-            mismatched.append(seed)
-        reports.append(first)
-    return reports, mismatched
+def run_bench(args) -> dict[str, Any]:
+    runs = [
+        run_chaos_scenario(seed, args.ops, args.fault_rate)
+        for seed in args.seeds
+    ]
+    return {
+        "config": {"seeds": args.seeds, "ops": args.ops,
+                   "fault_rate": args.fault_rate},
+        "runs": [asdict(report) for report in runs],
+        "checks": {"zero_user_errors": all(not r.user_errors for r in runs)},
+    }
 
 
-def render_report(reports: list[ChaosReport]) -> str:
+def render_report(report: dict[str, Any]) -> str:
     return render_table(
         ["seed", "ops", "ok", "errors", "goodput/s", "p50 ms", "p99 ms",
          "retries", "faults"],
-        [report.summary_row() for report in reports],
+        [ChaosReport(**run).summary_row() for run in report["runs"]],
         title="chaos bench — goodput/p99 under injected faults",
     )
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def _options(parser) -> None:
     parser.add_argument("--seeds", type=int, nargs="+", default=[11, 23, 47])
     parser.add_argument("--ops", type=int, default=300)
     parser.add_argument("--fault-rate", type=float, default=0.10)
-    parser.add_argument(
-        "--check-determinism", action="store_true",
-        help="run each seed twice and fail on any counter divergence",
-    )
-    args = parser.parse_args(argv)
 
-    if args.check_determinism:
-        reports, mismatched = check_determinism(
-            args.seeds, args.ops, args.fault_rate
-        )
-    else:
-        reports = [
-            run_chaos_scenario(seed, args.ops, args.fault_rate)
-            for seed in args.seeds
-        ]
-        mismatched = []
 
-    print(render_report(reports))
-    failed = False
-    for report in reports:
-        if report.user_errors:
-            print(f"FAIL: seed {report.seed} surfaced "
-                  f"{report.user_errors} user-visible error(s)")
-            failed = True
-    if mismatched:
-        print(f"FAIL: nondeterministic seeds: {mismatched}")
-        failed = True
-    if not failed and args.check_determinism:
-        print(f"determinism OK across seeds {args.seeds} (two runs each)")
-    return 1 if failed else 0
+SCENARIO = harness.Scenario(
+    name="chaos", doc=__doc__, seed=None, run=run_bench,
+    summary=render_report, options=_options,
+)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    return harness.main(SCENARIO, argv)
 
 
 if __name__ == "__main__":

@@ -20,20 +20,18 @@ Two phases:
   speedup reflects work actually avoided, not a tuned constant.
 
 Writes ``BENCH_hotpath.json``. ``--check`` exits non-zero when the warm
-authorization hit rate drops below 90% or the two modes disagree.
+authorization hit rate drops below 90%, the two modes disagree, or a
+same-seed rerun differs (:mod:`repro.bench.harness`).
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
-import os
-import sys
 from typing import Any, Optional
 
-from repro.bench.latency import DbServerModel, LatencyModel
-from repro.bench.loadgen import run_closed_loop
+from repro.bench import harness
+from repro.bench.harness import MODEL, audit_fingerprint, strip_ids
 from repro.bench.wallclock import run_threaded_loop
 from repro.clock import SimClock
 from repro.core.auth.abac import AbacEffect, TagCondition
@@ -42,7 +40,6 @@ from repro.core.model.entity import SecurableKind
 from repro.core.service.catalog_service import UnityCatalogService
 from repro.errors import UnityCatalogError
 
-MODEL = LatencyModel()
 DB_CAPACITY_QPS = 50_000.0
 
 ADMIN = "admin"
@@ -150,30 +147,19 @@ def _build_service(fast_path: bool, tables: int):
     return service, mid, table_names, view_names
 
 
-def _query_sets(seed: int, table_names, view_names, per_query: int, count: int = 64):
+def _query_sets(args, count: int = 64):
     """A fixed, seeded set of query shapes shared by every phase/mode."""
     import random
 
-    rng = random.Random(seed)
+    _, _, table_names, view_names = _build_service(True, args.tables)
+    rng = random.Random(args.seed)
     names = table_names + view_names
-    per_query = min(per_query, len(names))
+    per_query = min(args.tables_per_query, len(names))
     return [sorted(rng.sample(names, per_query)) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
 # equivalence phase
-
-
-def _strip_ids(value):
-    """Drop minted-id fields (random per service instance) recursively."""
-    if isinstance(value, dict):
-        return {
-            k: _strip_ids(v) for k, v in value.items()
-            if not k.endswith("_id") and k != "id"
-        }
-    if isinstance(value, list):
-        return [_strip_ids(v) for v in value]
-    return value
 
 
 def _asset_fingerprint(asset) -> dict[str, Any]:
@@ -183,7 +169,7 @@ def _asset_fingerprint(asset) -> dict[str, Any]:
         "table_type": asset.table_type,
         "format": asset.format,
         "columns": asset.columns,
-        "fgac": _strip_ids(asset.fgac.to_dict()),
+        "fgac": strip_ids(asset.fgac.to_dict()),
         "view_definition": asset.view_definition,
         "dependencies": list(asset.dependencies),
         "via_view": asset.via_view,
@@ -205,13 +191,6 @@ def _run_query(service, mid: str, names: list[str]) -> dict[str, Any]:
             for k in sorted(resolution.assets)
         ],
     }
-
-
-def _audit_fingerprint(service) -> list[tuple]:
-    return [
-        (r.principal, r.action, r.securable, r.allowed)
-        for r in service.audit
-    ]
 
 
 def _mutation_script(table_names):
@@ -272,7 +251,7 @@ def _equivalence(args, query_sets) -> dict[str, Any]:
             outcomes.append(_run_query(service, mid, query_sets[i % len(query_sets)]))
         sides[mode] = {
             "results": json.dumps(outcomes, sort_keys=True),
-            "audit": json.dumps(_audit_fingerprint(service), sort_keys=True),
+            "audit": json.dumps(audit_fingerprint(service), sort_keys=True),
         }
     identical_results = sides["fast_path"]["results"] == sides["no_fast_path"]["results"]
     identical_audits = sides["fast_path"]["audit"] == sides["no_fast_path"]["audit"]
@@ -290,16 +269,9 @@ def _equivalence(args, query_sets) -> dict[str, Any]:
 def _request_fn(service, mid, bundle, query_sets, db):
     """One hot-loop request; charges simulated cost from measured work."""
     counter = itertools.count()
-    auth = service.authorizer
-    store = service.store
 
     def request(now: float) -> float:
-        evals0 = auth.evaluations
-        rows0 = auth.grant_rows_examined + auth.policy_rows_examined
-        expand0 = auth.identity_expansions
-        reads0 = store.read_count
-        multi0 = getattr(store, "multi_get_count", 0)
-        scans0 = store.scan_row_count
+        before = harness.work_snapshot(service)
         probes0 = 0
         if bundle is not None:
             s = bundle.stats
@@ -309,6 +281,7 @@ def _request_fn(service, mid, bundle, query_sets, db):
         names = query_sets[next(counter) % len(query_sets)]
         service.resolve_for_query(mid, READER, names, engine_trusted=True)
 
+        work = harness.work_snapshot(service) - before
         probes = len(names)  # baseline per-asset bookkeeping in both modes
         if bundle is not None:
             s = bundle.stats
@@ -316,19 +289,15 @@ def _request_fn(service, mid, bundle, query_sets, db):
                        + s.resolution_hits + s.resolution_misses) - probes0
         cost = (
             MODEL.network_rtt
-            + (auth.evaluations - evals0) * MODEL.auth_check
-            + (auth.identity_expansions - expand0) * MODEL.auth_check
-            + (auth.grant_rows_examined + auth.policy_rows_examined - rows0)
-            * MODEL.cache_probe
+            + work.evaluations * MODEL.auth_check
+            + work.identity_expansions * MODEL.auth_check
+            + work.rows_examined * MODEL.cache_probe
             + probes * MODEL.cache_probe
         )
         t = now + cost
-        queries = (store.read_count - reads0) + (
-            getattr(store, "multi_get_count", 0) - multi0
-        )
-        scan_rows = store.scan_row_count - scans0
-        if queries or scan_rows:
-            t = db.submit(t, queries=queries, scan_rows=scan_rows)
+        queries = work.reads + work.multi_gets
+        if queries or work.scan_rows:
+            t = db.submit(t, queries=queries, scan_rows=work.scan_rows)
         return t
 
     return request
@@ -337,22 +306,13 @@ def _request_fn(service, mid, bundle, query_sets, db):
 def _run_mode(fast_path: bool, args, query_sets) -> dict[str, Any]:
     service, mid, _, _ = _build_service(fast_path, args.tables)
     bundle = service.hot_caches(mid)
-    db = DbServerModel(
-        MODEL, capacity_qps=DB_CAPACITY_QPS, response_floor=MODEL.db_point_read
-    )
-    result = run_closed_loop(
-        args.clients, args.duration,
-        _request_fn(service, mid, bundle, query_sets, db),
-        warmup=args.duration * 0.2,
-    )
-    summary = result.latency_summary()
+    db = harness.db_server(DB_CAPACITY_QPS)
     out = {
         "fast_path": fast_path,
-        "completed": result.completed,
-        "throughput_qps": result.throughput,
-        "p50_ms": summary["p50"] * 1000,
-        "p99_ms": summary["p99"] * 1000,
-        "mean_ms": summary["mean"] * 1000,
+        **harness.closed_loop(
+            args.clients, args.duration,
+            _request_fn(service, mid, bundle, query_sets, db),
+        ),
         "db_queries": db.total_queries,
         "authz_hit_rate": None,
         "resolution_hit_rate": None,
@@ -407,7 +367,12 @@ def _run_wallclock_mode(fast_path: bool, args, query_sets) -> dict[str, Any]:
     return result
 
 
-def run_wallclock(args, query_sets) -> dict[str, Any]:
+def add_wallclock(args, report: dict[str, Any]) -> None:
+    """With ``--wallclock``: measured, machine-dependent — reported in a
+    ``wallclock`` section, never a gate."""
+    if not args.wallclock:
+        return
+    query_sets = _query_sets(args)
     section = {
         "threads": args.wallclock_threads,
         "duration_s": args.wallclock_duration,
@@ -419,23 +384,19 @@ def run_wallclock(args, query_sets) -> dict[str, Any]:
     slow = section["modes"]["no_fast_path"]["throughput_qps"]
     fast = section["modes"]["fast_path"]["throughput_qps"]
     section["speedup_x"] = fast / slow if slow else float("inf")
-    return section
+    report["wallclock"] = section
 
 
 # ---------------------------------------------------------------------------
 
 
 def run_bench(args) -> dict[str, Any]:
-    service, _, table_names, view_names = _build_service(True, args.tables)
-    del service
-    query_sets = _query_sets(args.seed, table_names, view_names, args.tables_per_query)
-
+    query_sets = _query_sets(args)
     report: dict[str, Any] = {
-        "bench": "hotpath",
         "config": {
             "seed": args.seed,
             "tables": args.tables,
-            "views": len(view_names),
+            "views": CATALOGS * SCHEMAS_PER_CATALOG,
             "tables_per_query": args.tables_per_query,
             "clients": args.clients,
             "duration_s": args.duration,
@@ -443,14 +404,11 @@ def run_bench(args) -> dict[str, Any]:
             "noise_grantees": NOISE_USERS,
             "db_capacity_qps": DB_CAPACITY_QPS,
         },
-        "modes": {},
+        "modes": {
+            "fast_path": _run_mode(True, args, query_sets),
+            "no_fast_path": _run_mode(False, args, query_sets),
+        },
     }
-    if args.no_fast_path:
-        report["modes"]["no_fast_path"] = _run_mode(False, args, query_sets)
-        return report
-
-    report["modes"]["fast_path"] = _run_mode(True, args, query_sets)
-    report["modes"]["no_fast_path"] = _run_mode(False, args, query_sets)
     fast = report["modes"]["fast_path"]
     slow = report["modes"]["no_fast_path"]
     report["speedup"] = {
@@ -465,17 +423,10 @@ def run_bench(args) -> dict[str, Any]:
         "identical_results": report["equivalence"]["identical_results"],
         "identical_audits": report["equivalence"]["identical_audits"],
     }
-    if getattr(args, "wallclock", False):
-        # measured, machine-dependent — reported but never a gate here
-        report["wallclock"] = run_wallclock(args, query_sets)
     return report
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.hotpath", description=__doc__
-    )
-    parser.add_argument("--seed", type=int, default=11)
+def _options(parser) -> None:
     parser.add_argument("--tables", type=int, default=32)
     parser.add_argument("--tables-per-query", type=int, default=8)
     parser.add_argument("--clients", type=int, default=8)
@@ -483,62 +434,51 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="simulated seconds per closed-loop run")
     parser.add_argument("--queries", type=int, default=120,
                         help="equivalence-phase query count")
-    parser.add_argument("--out", default="BENCH_hotpath.json")
-    parser.add_argument("--no-fast-path", action="store_true",
-                        help="run only the fast-path-off mode")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 on hit-rate or equivalence failure")
     parser.add_argument("--wallclock", action="store_true",
                         help="also measure real-thread req/s for both "
                              "modes (reported in a 'wallclock' section)")
     parser.add_argument("--wallclock-threads", type=int, default=8)
     parser.add_argument("--wallclock-duration", type=float, default=0.5,
                         help="real seconds per wall-clock measurement")
-    args = parser.parse_args(argv)
 
-    report = run_bench(args)
-    out_dir = os.path.dirname(args.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
+def _summary(report: dict[str, Any]) -> str:
+    lines = []
     for mode, stats in report["modes"].items():
         line = (f"{mode:>13}: {stats['throughput_qps']:>10,.0f} req/s"
                 f"  p50 {stats['p50_ms']:.3f} ms  p99 {stats['p99_ms']:.3f} ms")
         if stats["authz_hit_rate"] is not None:
             line += (f"  authz hit {stats['authz_hit_rate']:.1%}"
                      f"  resolution hit {stats['resolution_hit_rate']:.1%}")
-        print(line)
-    if "speedup" in report:
-        s = report["speedup"]
-        print(f"      speedup: {s['throughput_x']:.1f}x throughput, "
-              f"{s['p50_x']:.1f}x p50, {s['p99_x']:.1f}x p99")
-        e = report["equivalence"]
-        print(f"  equivalence: {e['queries']} queries, "
-              f"results identical={e['identical_results']}, "
-              f"audits identical={e['identical_audits']}")
+        lines.append(line)
+    s = report["speedup"]
+    lines.append(f"      speedup: {s['throughput_x']:.1f}x throughput, "
+                 f"{s['p50_x']:.1f}x p50, {s['p99_x']:.1f}x p99")
+    e = report["equivalence"]
+    lines.append(f"  equivalence: {e['queries']} queries, "
+                 f"results identical={e['identical_results']}, "
+                 f"audits identical={e['identical_audits']}")
     if "wallclock" in report:
         wc = report["wallclock"]
         for mode, stats in wc["modes"].items():
-            print(f"wallclock {mode:>13}: "
-                  f"{stats['throughput_qps']:>8,.0f} req/s measured "
-                  f"({stats['completed']} requests, "
-                  f"{stats['errors']} errors)")
-        print(f"wallclock speedup: {wc['speedup_x']:.2f}x with "
-              f"{wc['threads']} threads")
-    print(f"wrote {args.out}")
+            lines.append(f"wallclock {mode:>13}: "
+                         f"{stats['throughput_qps']:>8,.0f} req/s measured "
+                         f"({stats['completed']} requests, "
+                         f"{stats['errors']} errors)")
+        lines.append(f"wallclock speedup: {wc['speedup_x']:.2f}x with "
+                     f"{wc['threads']} threads")
+    return "\n".join(lines)
 
-    if args.check:
-        checks = report.get("checks", {})
-        failed = [name for name, ok in checks.items() if not ok]
-        if failed:
-            print(f"CHECK FAILED: {', '.join(failed)}", file=sys.stderr)
-            return 1
-        print("checks OK")
-    return 0
+
+SCENARIO = harness.Scenario(
+    name="hotpath", doc=__doc__, seed=11, run=run_bench, summary=_summary,
+    options=_options, wallclock=add_wallclock,
+)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    return harness.main(SCENARIO, argv)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

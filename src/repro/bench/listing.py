@@ -14,7 +14,7 @@ into both backends with identical entity ids, plus a governed grant
 surface (a reader group and per-securable noise grantees) that makes
 the baseline's per-child ``grants_on`` scans O(grant-table size).
 
-Three phases:
+Two phases:
 
 * **performance** — a closed loop of clients on simulated time; each
   request charges costs from *measured* store work (snapshot reads,
@@ -24,36 +24,31 @@ Three phases:
   backends; results (listed entities, resolved metadata, errors) and
   audit trails must be byte-identical. The tree index is an
   optimization: it must never change an answer.
-* **determinism** — the equivalence script reruns with the same seed on
-  fresh instances and must reproduce both backends' bytes exactly.
 
 Writes ``BENCH_listing.json``. ``--check`` exits non-zero when the tree
-backend's list/resolve throughput is below 5x the baseline's, or any
-equivalence/determinism comparison fails.
+backend's list/resolve throughput is below 5x the baseline's, any
+equivalence comparison fails, or a same-seed rerun differs
+(:mod:`repro.bench.harness`).
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
-import os
 import random
-import sys
 from typing import Any, Optional
 
-from repro.bench.latency import DbServerModel, LatencyModel
-from repro.bench.loadgen import run_closed_loop
+from repro.bench import harness
+from repro.bench.harness import MODEL, audit_fingerprint, strip_ids
+from repro.bench.scan_only import ScanOnlyMetadataStore
 from repro.clock import SimClock
 from repro.core.auth.privileges import Privilege, PrivilegeGrant
 from repro.core.model.entity import SecurableKind
-from repro.bench.scan_only import ScanOnlyMetadataStore
 from repro.core.persistence.memory import InMemoryMetadataStore
 from repro.core.persistence.store import Tables, WriteOp
 from repro.core.service.catalog_service import UnityCatalogService
 from repro.errors import UnityCatalogError
 
-MODEL = LatencyModel()
 DB_CAPACITY_QPS = 50_000.0
 
 ADMIN = "admin"
@@ -195,18 +190,6 @@ def _op_script(estate: Estate, seed: int, count: int) -> list[tuple]:
     return ops
 
 
-def _strip_ids(value):
-    """Drop minted-id fields recursively (metastore ids differ per side)."""
-    if isinstance(value, dict):
-        return {
-            k: _strip_ids(v) for k, v in value.items()
-            if not k.endswith("_id") and k != "id"
-        }
-    if isinstance(value, list):
-        return [_strip_ids(v) for v in value]
-    return value
-
-
 def _execute(service, mid: str, op: tuple):
     kind = op[0]
     try:
@@ -235,7 +218,7 @@ def _fingerprint(result) -> Any:
     if isinstance(result, dict):  # an error marker
         return result
     if isinstance(result, list):  # listed entities (already name-sorted)
-        return [_strip_ids(e.to_dict()) for e in result]
+        return [strip_ids(e.to_dict()) for e in result]
     if hasattr(result, "assets"):  # a QueryResolution
         return {
             "assets": [
@@ -244,19 +227,12 @@ def _fingerprint(result) -> Any:
                     "table_type": asset.table_type,
                     "format": asset.format,
                     "columns": asset.columns,
-                    "fgac": _strip_ids(asset.fgac.to_dict()),
+                    "fgac": strip_ids(asset.fgac.to_dict()),
                 }
                 for asset in (result.assets[k] for k in sorted(result.assets))
             ],
         }
-    return _strip_ids(result.to_dict())  # a single entity
-
-
-def _audit_fingerprint(service) -> list[tuple]:
-    return [
-        (r.principal, r.action, r.securable, r.allowed)
-        for r in service.audit
-    ]
+    return strip_ids(result.to_dict())  # a single entity
 
 
 def _run_script(backend: str, estate: Estate, ops: list[tuple],
@@ -265,7 +241,7 @@ def _run_script(backend: str, estate: Estate, ops: list[tuple],
     outcomes = [_fingerprint(_execute(service, mid, op)) for op in ops]
     return {
         "results": json.dumps(outcomes, sort_keys=True),
-        "audit": json.dumps(_audit_fingerprint(service), sort_keys=True),
+        "audit": json.dumps(audit_fingerprint(service), sort_keys=True),
     }
 
 
@@ -276,27 +252,18 @@ def _run_script(backend: str, estate: Estate, ops: list[tuple],
 def _request_fn(service, mid, ops, db):
     """One workload request; charges simulated cost from measured work."""
     counter = itertools.count()
-    store = service.store
 
     def request(now: float) -> float:
-        reads0 = store.read_count
-        multi0 = getattr(store, "multi_get_count", 0)
-        ranges0 = getattr(store, "range_scan_count", 0)
-        rows0 = store.scan_row_count
-
+        before = harness.work_snapshot(service)
         _execute(service, mid, ops[next(counter) % len(ops)])
+        work = harness.work_snapshot(service) - before
 
         t = now + MODEL.network_rtt
         # every snapshot open, batched read, and range read is one DB
         # query; every row the backend examined is scan work
-        queries = (
-            (store.read_count - reads0)
-            + (getattr(store, "multi_get_count", 0) - multi0)
-            + (getattr(store, "range_scan_count", 0) - ranges0)
-        )
-        scan_rows = store.scan_row_count - rows0
-        if queries or scan_rows:
-            t = db.submit(t, queries=queries, scan_rows=scan_rows)
+        queries = work.reads + work.multi_gets + work.range_scans
+        if queries or work.scan_rows:
+            t = db.submit(t, queries=queries, scan_rows=work.scan_rows)
         return t
 
     return request
@@ -305,22 +272,11 @@ def _request_fn(service, mid, ops, db):
 def _run_mode(backend: str, estate, ops, args) -> dict[str, Any]:
     service, mid = _build_service(backend, estate, args.noise_grantees)
     store = service.store
-    db = DbServerModel(
-        MODEL, capacity_qps=DB_CAPACITY_QPS, response_floor=MODEL.db_point_read
-    )
-    result = run_closed_loop(
-        args.clients, args.duration,
-        _request_fn(service, mid, ops, db),
-        warmup=args.duration * 0.2,
-    )
-    summary = result.latency_summary()
+    db = harness.db_server(DB_CAPACITY_QPS)
     return {
         "backend": backend,
-        "completed": result.completed,
-        "throughput_qps": result.throughput,
-        "p50_ms": summary["p50"] * 1000,
-        "p99_ms": summary["p99"] * 1000,
-        "mean_ms": summary["mean"] * 1000,
+        **harness.closed_loop(args.clients, args.duration,
+                              _request_fn(service, mid, ops, db)),
         "db_queries": db.total_queries,
         "store_scan_rows": store.scan_row_count,
         "store_range_scans": store.range_scan_count,
@@ -336,7 +292,6 @@ def run_bench(args) -> dict[str, Any]:
     ops = _op_script(estate, args.seed, args.script_ops)
 
     report: dict[str, Any] = {
-        "bench": "listing",
         "config": {
             "seed": args.seed,
             "catalogs": len(estate.catalogs),
@@ -349,11 +304,11 @@ def run_bench(args) -> dict[str, Any]:
             "duration_s": args.duration,
             "db_capacity_qps": DB_CAPACITY_QPS,
         },
-        "modes": {},
+        "modes": {
+            "treecat": _run_mode("treecat", estate, ops, args),
+            "memory": _run_mode("memory", estate, ops, args),
+        },
     }
-
-    report["modes"]["treecat"] = _run_mode("treecat", estate, ops, args)
-    report["modes"]["memory"] = _run_mode("memory", estate, ops, args)
     flat = report["modes"]["memory"]
     tree = report["modes"]["treecat"]
     report["speedup"] = {
@@ -366,41 +321,26 @@ def run_bench(args) -> dict[str, Any]:
     }
 
     script = ops[: args.equivalence_ops]
-    first = {
+    sides = {
         backend: _run_script(backend, estate, script, args.noise_grantees)
         for backend in ("memory", "treecat")
     }
-    second = {
-        backend: _run_script(backend, estate, script, args.noise_grantees)
-        for backend in ("memory", "treecat")
-    }
-    identical_results = (
-        first["memory"]["results"] == first["treecat"]["results"]
-    )
-    identical_audits = first["memory"]["audit"] == first["treecat"]["audit"]
-    deterministic = all(
-        first[backend] == second[backend] for backend in first
-    )
+    identical_results = sides["memory"]["results"] == sides["treecat"]["results"]
+    identical_audits = sides["memory"]["audit"] == sides["treecat"]["audit"]
     report["equivalence"] = {
         "ops": len(script),
         "identical_results": identical_results,
         "identical_audits": identical_audits,
-        "deterministic_rerun": deterministic,
     }
     report["checks"] = {
         "speedup_at_least_5x": report["speedup"]["throughput_x"] >= 5.0,
         "identical_results": identical_results,
         "identical_audits": identical_audits,
-        "deterministic_rerun": deterministic,
     }
     return report
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.listing", description=__doc__
-    )
-    parser.add_argument("--seed", type=int, default=19)
+def _options(parser) -> None:
     parser.add_argument("--max-tables", type=int, default=260)
     parser.add_argument("--noise-grantees", type=int, default=4,
                         help="extra grantees per securable (grant rows the "
@@ -410,44 +350,36 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument("--duration", type=float, default=0.2,
                         help="simulated seconds per closed-loop run")
-    parser.add_argument("--out", default="BENCH_listing.json")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 when the 5x gate or any equivalence "
-                             "comparison fails")
-    args = parser.parse_args(argv)
 
-    report = run_bench(args)
-    out_dir = os.path.dirname(args.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
-    for mode, stats in report["modes"].items():
-        print(f"{mode:>8}: {stats['throughput_qps']:>10,.0f} req/s"
-              f"  p50 {stats['p50_ms']:.3f} ms  p99 {stats['p99_ms']:.3f} ms"
-              f"  rows scanned {stats['store_scan_rows']:,}"
-              f"  range scans {stats['store_range_scans']:,}")
+def _summary(report: dict[str, Any]) -> str:
+    lines = [
+        f"{mode:>8}: {stats['throughput_qps']:>10,.0f} req/s"
+        f"  p50 {stats['p50_ms']:.3f} ms  p99 {stats['p99_ms']:.3f} ms"
+        f"  rows scanned {stats['store_scan_rows']:,}"
+        f"  range scans {stats['store_range_scans']:,}"
+        for mode, stats in report["modes"].items()
+    ]
     s = report["speedup"]
-    print(f" speedup: {s['throughput_x']:.1f}x throughput, "
-          f"{s['p50_x']:.1f}x p50, "
-          f"{s['scan_rows_ratio']:.0f}x fewer rows scanned")
+    lines.append(f" speedup: {s['throughput_x']:.1f}x throughput, "
+                 f"{s['p50_x']:.1f}x p50, "
+                 f"{s['scan_rows_ratio']:.0f}x fewer rows scanned")
     e = report["equivalence"]
-    print(f" equivalence: {e['ops']} ops, "
-          f"results identical={e['identical_results']}, "
-          f"audits identical={e['identical_audits']}, "
-          f"deterministic={e['deterministic_rerun']}")
-    print(f"wrote {args.out}")
+    lines.append(f" equivalence: {e['ops']} ops, "
+                 f"results identical={e['identical_results']}, "
+                 f"audits identical={e['identical_audits']}")
+    return "\n".join(lines)
 
-    if args.check:
-        failed = [name for name, ok in report["checks"].items() if not ok]
-        if failed:
-            print(f"CHECK FAILED: {', '.join(failed)}", file=sys.stderr)
-            return 1
-        print("checks OK")
-    return 0
+
+SCENARIO = harness.Scenario(
+    name="listing", doc=__doc__, seed=19, run=run_bench, summary=_summary,
+    options=_options,
+)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    return harness.main(SCENARIO, argv)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

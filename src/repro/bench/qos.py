@@ -12,7 +12,7 @@ asserts three things:
   trace demonstrably violates at least one victim SLO, so the isolation
   is the scheduler's doing, not spare capacity;
 * **determinism** — same seed, byte-identical report (``--check`` runs
-  everything twice and compares fingerprints).
+  everything twice through :mod:`repro.bench.harness`).
 
 The bench drives :class:`~repro.core.service.qos.QosScheduler` directly
 on a :class:`~repro.clock.SimClock` in open loop: arrivals come from the
@@ -24,11 +24,9 @@ chaos-determinism suite.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-from typing import Optional
+from typing import Any, Optional
 
+from repro.bench import harness
 from repro.bench.report import render_table
 from repro.bench.stats import percentile, summarize
 from repro.clock import SimClock
@@ -155,10 +153,6 @@ def run_qos_bench(seed: int = 11, qos_enabled: bool = True,
     }
 
 
-def fingerprint(report: dict) -> str:
-    return json.dumps(report, sort_keys=True)
-
-
 def evaluate_gates(on: dict, off: dict) -> dict[str, bool]:
     """The --check gate conditions (all must hold)."""
     return {
@@ -276,14 +270,21 @@ def run_qos_scenario(seed: int = 11, fault_rate: float = 0.10,
 
 
 # ---------------------------------------------------------------------------
-# CLI
+# the bench
 # ---------------------------------------------------------------------------
 
 
-def render_report(on: dict, off: dict, gates: dict[str, bool]) -> str:
+def run_bench(args) -> dict[str, Any]:
+    on = run_qos_bench(args.seed, qos_enabled=True)
+    off = run_qos_bench(args.seed, qos_enabled=False)
+    return {"qos_on": on, "qos_off": off, "checks": evaluate_gates(on, off)}
+
+
+def render_report(report: dict[str, Any]) -> str:
+    on, off = report["qos_on"], report["qos_off"]
     rows = []
-    for label, report in (("on", on), ("off", off)):
-        for cls, entry in sorted(report["classes"].items()):
+    for label, run in (("on", on), ("off", off)):
+        for cls, entry in sorted(run["classes"].items()):
             rows.append([
                 label, cls, entry["count"],
                 round(entry["p50"] * 1000, 3),
@@ -304,49 +305,18 @@ def render_report(on: dict, off: dict, gates: dict[str, bool]) -> str:
         f"victims={on['shed']['victim']} "
         f"(abuser share {on['abuser_shed_share']})"
     )
-    for gate, passed in gates.items():
+    for gate, passed in report["checks"].items():
         lines.append(f"gate {gate}: {'PASS' if passed else 'FAIL'}")
     return "\n".join(lines)
 
 
+SCENARIO = harness.Scenario(
+    name="qos", doc=__doc__, seed=11, run=run_bench, summary=render_report,
+)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--out", type=str, default=None,
-                        help="write the JSON report here (BENCH_qos.json)")
-    parser.add_argument("--check", action="store_true",
-                        help="enforce the SLO/shedding/determinism gates")
-    args = parser.parse_args(argv)
-
-    on = run_qos_bench(args.seed, qos_enabled=True)
-    off = run_qos_bench(args.seed, qos_enabled=False)
-    gates = evaluate_gates(on, off)
-
-    deterministic = True
-    if args.check:
-        on_again = run_qos_bench(args.seed, qos_enabled=True)
-        off_again = run_qos_bench(args.seed, qos_enabled=False)
-        deterministic = (fingerprint(on) == fingerprint(on_again)
-                         and fingerprint(off) == fingerprint(off_again))
-        gates["same_seed_byte_identical"] = deterministic
-
-    print(render_report(on, off, gates))
-
-    if args.out:
-        report = {"qos_on": on, "qos_off": off, "gates": gates}
-        directory = os.path.dirname(args.out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-
-    if args.check and not all(gates.values()):
-        failed = [gate for gate, ok in gates.items() if not ok]
-        print(f"FAIL: gates not met: {failed}")
-        return 1
-    return 0
+    return harness.main(SCENARIO, argv)
 
 
 if __name__ == "__main__":

@@ -16,52 +16,37 @@ saturating the fleet. A small scatter fraction (cross-shard
 ``list_securables``) keeps the fan-out path honest.
 
 The run is deterministic end to end: same seed → byte-identical report.
-``--check`` runs everything twice and fails on divergence, or when
-8-shard read throughput is less than 3x the single shard's.
+``--check`` runs everything twice (:mod:`repro.bench.harness`) and fails
+on divergence, or when 8-shard read throughput is less than 3x the
+single shard's.
 
 ``run_scaleout`` is importable for the chaos determinism suite, which
 re-runs the 4-shard mode at a 10% injected fault rate and requires zero
 user-visible errors (dark-shard reads degrade to the router's
 last-known-good cache instead of failing).
 
-``--failover`` switches to the replica-group chaos bench: a 2-shard,
-3-replica cluster serves a mixed read/write trace on simulated time; the
-leader of the hot catalog's shard is killed mid-trace via a fault-rule
-crash. Gates: **zero** user-visible read errors across the whole trace,
-a write-unavailability window bounded by 1.5x the leader lease, a
-fencing-token rejection for the deposed leader's in-flight write, and a
-final state byte-identical (modulo random uuids) to a no-failure twin
-run fed only the accepted writes.
+The kill-the-leader replica-group bench is its own scenario,
+:mod:`repro.bench.failover`.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
-import json
-import os
-import sys
 import time
 from random import Random
 from typing import Any, Optional
 
-from repro.bench.latency import DbServerModel, LatencyModel
-from repro.bench.loadgen import run_closed_loop
+from repro.bench import harness
+from repro.bench.harness import MODEL, Work
 from repro.bench.wallclock import run_threaded_loop
 from repro.clock import SimClock
 from repro.core.auth.privileges import Privilege
 from repro.core.cluster import CatalogCluster
 from repro.core.model.entity import SecurableKind
-from repro.core.persistence.store import Tables
-from repro.errors import (
-    FencingTokenError,
-    LeaseExpiredError,
-    UnityCatalogError,
-)
+from repro.errors import UnityCatalogError
 from repro.faults import FaultInjector
 from repro.obs import Observability
 
-MODEL = LatencyModel()
 #: fixed per-request service CPU (parsing, marshalling, response build) —
 #: the floor that bounds a single shard's throughput
 BASE_REQUEST_CPU = 0.0001
@@ -87,29 +72,13 @@ WALLCLOCK_DURATION_S = 0.75
 WALLCLOCK_SERVICE_FLOOR_S = 0.002
 WALLCLOCK_MIN_SPEEDUP = 1.5
 
-#: failover chaos mode: fleet shape, trace length and the availability gate
-FAILOVER_SHARDS = 2
-FAILOVER_REPLICAS = 3
-FAILOVER_LEASE_S = 0.25
-FAILOVER_OPS = 400
-FAILOVER_CRASH_AT = 150
-FAILOVER_STEP_S = 0.005
-FAILOVER_WRITE_EVERY = 10
-FAILOVER_SCATTER_EVERY = 16
-#: the write-unavailability window may span the (jittered) remaining
-#: lease plus the gap to the next write attempt, never more
-FAILOVER_WINDOW_FACTOR = 1.5
-
 
 class _ShardServer:
     """One shard's simulated capacity: a FIFO CPU ahead of its DB."""
 
     def __init__(self):
         self.cpu_free = 0.0
-        self.db = DbServerModel(
-            MODEL, capacity_qps=DB_CAPACITY_QPS,
-            response_floor=MODEL.db_point_read,
-        )
+        self.db = harness.db_server(DB_CAPACITY_QPS)
         self.requests = 0
 
     def submit(self, now: float, cpu: float, queries: int,
@@ -123,29 +92,13 @@ class _ShardServer:
         return done
 
 
-def _work_snapshot(service) -> tuple:
-    auth = service.authorizer
-    store = service.store
-    return (
-        auth.evaluations,
-        auth.identity_expansions,
-        auth.grant_rows_examined + auth.policy_rows_examined,
-        store.read_count + getattr(store, "multi_get_count", 0),
-        store.scan_row_count,
-    )
-
-
-def _work_cost(before: tuple, after: tuple) -> tuple[float, int, int]:
+def _work_cost(before: Work, after: Work) -> tuple[float, int, int]:
     """(cpu seconds, db queries, db scan rows) from two work snapshots."""
-    evals = after[0] - before[0]
-    expands = after[1] - before[1]
-    rows = after[2] - before[2]
-    queries = after[3] - before[3]
-    scans = after[4] - before[4]
+    work = after - before
     cpu = (BASE_REQUEST_CPU
-           + (evals + expands) * MODEL.auth_check
-           + rows * MODEL.cache_probe)
-    return cpu, queries, scans
+           + (work.evaluations + work.identity_expansions) * MODEL.auth_check
+           + work.rows_examined * MODEL.cache_probe)
+    return cpu, work.reads + work.multi_gets, work.scan_rows
 
 
 def _build_cluster(shards: int, seed: int,
@@ -265,7 +218,7 @@ def run_mode(
         drift0 = clock.now()
         if rng.random() < SCATTER_FRACTION:
             before = {
-                name: _work_snapshot(shard.service)
+                name: harness.work_snapshot(shard.service)
                 for name, shard in cluster._by_name.items()
             }
             try:
@@ -279,7 +232,7 @@ def run_mode(
             done = now
             for name, shard in cluster._by_name.items():
                 cpu, queries, scans = _work_cost(
-                    before[name], _work_snapshot(shard.service)
+                    before[name], harness.work_snapshot(shard.service)
                 )
                 done = max(done, servers[name].submit(
                     now + MODEL.network_rtt, cpu, queries, scans
@@ -289,7 +242,7 @@ def run_mode(
         names = query_sets[catalog][i % QUERY_SETS_PER_CATALOG]
         owner = cluster.router.owner_for(mid, catalog)
         service = cluster.shard_named(owner).service
-        before = _work_snapshot(service)
+        before = harness.work_snapshot(service)
         try:
             cluster.dispatch("resolve_for_query", metastore_id=mid,
                              principal=READER, table_names=names,
@@ -298,14 +251,12 @@ def run_mode(
             state["errors"] += 1
             return now + MODEL.network_rtt
         drift = clock.now() - drift0
-        cpu, queries, scans = _work_cost(before, _work_snapshot(service))
+        cpu, queries, scans = _work_cost(before, harness.work_snapshot(service))
         return servers[owner].submit(
             now + MODEL.network_rtt, cpu, queries, scans
         ) + drift
 
-    result = run_closed_loop(clients, duration, request,
-                             warmup=duration * 0.2)
-    summary = result.latency_summary()
+    loop = harness.closed_loop(clients, duration, request)
     snapshot = cluster.obs.metrics.snapshot()
     stale_reads = sum(
         value for key, value in snapshot.items()
@@ -313,11 +264,7 @@ def run_mode(
     )
     return {
         "shards": shards,
-        "completed": result.completed,
-        "throughput_qps": result.throughput,
-        "p50_ms": summary["p50"] * 1000,
-        "p99_ms": summary["p99"] * 1000,
-        "mean_ms": summary["mean"] * 1000,
+        **loop,
         "user_errors": state["errors"],
         "stale_reads": stale_reads,
         "per_shard_requests": {
@@ -360,11 +307,11 @@ def run_wallclock_mode(
         owner = cluster.router.owner_for(mid, catalog)
         service = cluster.shard_named(owner).service
         for names in query_sets[catalog]:
-            before = _work_snapshot(service)
+            before = harness.work_snapshot(service)
             cluster.dispatch("resolve_for_query", metastore_id=mid,
                              principal=READER, table_names=names,
                              include_credentials=False)
-            cpu, queries, scans = _work_cost(before, _work_snapshot(service))
+            cpu, queries, scans = _work_cost(before, harness.work_snapshot(service))
             costs.append(cpu + queries * MODEL.db_point_read
                          + scans * MODEL.db_scan_row)
     service_time = max(sum(costs) / len(costs), WALLCLOCK_SERVICE_FLOOR_S)
@@ -449,7 +396,6 @@ def run_scaleout(
 ) -> dict[str, Any]:
     """The full sweep; the returned report is byte-stable per seed."""
     report: dict[str, Any] = {
-        "bench": "scaleout",
         "config": {
             "seed": seed,
             "shard_counts": list(shard_counts),
@@ -490,303 +436,12 @@ def run_scaleout(
     return report
 
 
-# -- failover chaos mode -----------------------------------------------------
-
-
-_FAILOVER_TABLES = (Tables.ENTITIES, Tables.GRANTS, Tables.TAGS,
-                    Tables.POLICIES, Tables.COMMITS, Tables.SHARES)
-
-
-def entity_tokens(snapshot, mid: str) -> dict[str, str]:
-    """Every entity id of a snapshot mapped to a ``<KIND:path>`` token,
-    the path walked up ``parent_id`` below the metastore
-    (``<SCHEMA:cat0.s0>``): stable across two separately built clusters,
-    whose uuids differ, and distinct for same-named entities under
-    different parents."""
-    rows = {value["id"]: value for _, value in snapshot.scan(Tables.ENTITIES)
-            if isinstance(value, dict) and "id" in value and "kind" in value}
-    tokens = {mid: "<metastore>"}
-    for entity_id, value in rows.items():
-        names = [str(value.get("name"))]
-        parent = rows.get(value.get("parent_id"))
-        while parent is not None and parent["id"] != mid:
-            names.append(str(parent.get("name")))
-            parent = rows.get(parent.get("parent_id"))
-        tokens[entity_id] = f"<{value['kind']}:{'.'.join(reversed(names))}>"
-    return tokens
-
-
-def _normalized_state(replica, mid: str) -> str:
-    """One replica's full governed state with every random uuid rewritten
-    to its :func:`entity_tokens` token — byte-comparable across two
-    separately built clusters, and fingerprint-stable across runs."""
-    store = replica.store.inner
-    snap = store.snapshot(mid)
-    ids = entity_tokens(snap, mid)
-
-    def norm(obj):
-        if isinstance(obj, str):
-            for raw, token in ids.items():
-                if raw in obj:
-                    obj = obj.replace(raw, token)
-            return obj
-        if isinstance(obj, dict):
-            return {norm(k): norm(v) for k, v in sorted(obj.items())}
-        if isinstance(obj, (list, tuple)):
-            return [norm(v) for v in obj]
-        return obj
-
-    state = {
-        "version": store.current_version(mid),
-        "rows": {
-            table: sorted(
-                ([norm(key), norm(value)] for key, value in snap.scan(table)),
-                key=lambda kv: repr(kv[0]),
-            )
-            for table in _FAILOVER_TABLES
-        },
-    }
-    return json.dumps(state, sort_keys=True)
-
-
-def _cluster_state(cluster, mid: str) -> str:
-    """The whole cluster's governed rows, uuid-normalized and merged
-    across shards. Shard placement hashes on the (random) metastore id,
-    so two separately built clusters are only comparable cluster-wide —
-    per-shard contents and version counters legitimately differ."""
-    merged: dict[str, dict[str, Any]] = {t: {} for t in _FAILOVER_TABLES}
-    for shard in cluster.shards:
-        state = json.loads(_normalized_state(shard.group.leader(), mid))
-        for table, rows in state["rows"].items():
-            for key, value in rows:
-                # broadcast rows (the metastore root) repeat identically
-                # on every shard; everything else lives on exactly one
-                merged[table][json.dumps(key, sort_keys=True)] = value
-    return json.dumps({table: sorted(rows.items())
-                       for table, rows in merged.items()}, sort_keys=True)
-
-
-def _build_failover_cluster(seed: int) -> tuple:
-    clock = SimClock()
-    obs = Observability(clock=clock)
-    faults = FaultInjector(clock, seed=seed, metrics=obs.metrics)
-    cluster = CatalogCluster(
-        FAILOVER_SHARDS, clock=clock, obs=obs, faults=faults,
-        replicas_per_shard=FAILOVER_REPLICAS,
-        lease_duration=FAILOVER_LEASE_S,
-        read_preference="nearest_fresh",
-    )
-    directory = cluster.directory
-    directory.add_user(ADMIN)
-    directory.add_user(READER)
-    directory.add_group("analysts")
-    directory.add_member("analysts", READER)
-    # a seeded metastore id: placement hashes on it, and the trace (which
-    # writes land on the crashed shard, how many lease draws happen) must
-    # be identical run to run and between the chaos run and its twin
-    mid = cluster.dispatch("create_metastore", name="failbench",
-                           owner=ADMIN, region="us-west",
-                           metastore_id=f"{0xFA11BE4C ^ seed:032x}").id
-    for c in range(4):
-        catalog = f"cat{c}"
-        cluster.dispatch("create_securable", metastore_id=mid,
-                         principal=ADMIN, kind=SecurableKind.CATALOG,
-                         name=catalog)
-        cluster.dispatch("grant", metastore_id=mid, principal=ADMIN,
-                         kind=SecurableKind.CATALOG, name=catalog,
-                         grantee="analysts", privilege=Privilege.USE_CATALOG)
-        cluster.dispatch("create_securable", metastore_id=mid,
-                         principal=ADMIN, kind=SecurableKind.SCHEMA,
-                         name=f"{catalog}.s0")
-        cluster.dispatch("grant", metastore_id=mid, principal=ADMIN,
-                         kind=SecurableKind.SCHEMA, name=f"{catalog}.s0",
-                         grantee="analysts", privilege=Privilege.USE_SCHEMA)
-        cluster.dispatch(
-            "create_securable", metastore_id=mid, principal=ADMIN,
-            kind=SecurableKind.TABLE, name=f"{catalog}.s0.t0",
-            spec={"table_type": "MANAGED", "format": "DELTA",
-                  "columns": [{"name": "id", "type": "BIGINT"}]},
-        )
-        cluster.dispatch("grant", metastore_id=mid, principal=ADMIN,
-                         kind=SecurableKind.TABLE, name=f"{catalog}.s0.t0",
-                         grantee="analysts", privilege=Privilege.SELECT)
-    return cluster, mid, faults
-
-
-def run_failover_trace(seed: int, *, crash: bool,
-                       skip_writes: frozenset = frozenset()) -> dict[str, Any]:
-    """One kill-the-leader trace on simulated time.
-
-    ``crash=False`` with ``skip_writes`` set to a prior crash run's
-    rejected writes is the *twin*: the same trace and clock advances
-    minus the failure — the two runs must end byte-identical.
-    """
-    cluster, mid, faults = _build_failover_cluster(seed)
-    target = "cat0"
-    owner = cluster.router.owner_for(mid, target)
-    group = cluster.shard_named(owner).group
-    session = cluster.read_session()
-
-    reads = read_errors = writes_accepted = 0
-    rejected: list[str] = []
-    crash_time = first_accept_time = None
-    old_leader = crash_op = None
-
-    for i in range(FAILOVER_OPS):
-        if crash and i == FAILOVER_CRASH_AT:
-            old_leader = group.leader()
-            crash_op = f"replica.{owner}.{old_leader.name}.serve"
-            faults.crash(crash_op)
-            crash_time = cluster.clock.now()
-        if i % FAILOVER_WRITE_EVERY == 0:
-            name = f"{target}.s0.w{i}"
-            if name not in skip_writes:
-                try:
-                    cluster.dispatch(
-                        "create_securable", metastore_id=mid,
-                        principal=ADMIN, kind=SecurableKind.TABLE, name=name,
-                        spec={"table_type": "MANAGED", "format": "DELTA",
-                              "columns": [{"name": "id", "type": "BIGINT"}]},
-                        _session=session,
-                    )
-                    writes_accepted += 1
-                    if crash_time is not None and first_accept_time is None:
-                        first_accept_time = cluster.clock.now()
-                except LeaseExpiredError:
-                    rejected.append(name)
-        elif i % FAILOVER_SCATTER_EVERY == 0:
-            try:
-                cluster.dispatch("list_securables", metastore_id=mid,
-                                 principal=READER,
-                                 kind=SecurableKind.CATALOG,
-                                 _session=session)
-                reads += 1
-            except UnityCatalogError:
-                read_errors += 1
-        else:
-            try:
-                cluster.dispatch("get_securable", metastore_id=mid,
-                                 principal=READER, kind=SecurableKind.TABLE,
-                                 name=f"{target}.s0.t0", _session=session)
-                reads += 1
-            except UnityCatalogError:
-                read_errors += 1
-        cluster.clock.advance(FAILOVER_STEP_S)
-
-    # a deposed leader's in-flight mutation must die on its stale
-    # fencing token, not fork history
-    fenced_rejection = False
-    if old_leader is not None:
-        try:
-            old_leader.service.dispatch(
-                "create_securable", metastore_id=mid, principal=ADMIN,
-                kind=SecurableKind.CATALOG, name="zombie",
-            )
-        except FencingTokenError as exc:
-            fenced_rejection = exc.code == "FENCED_LEADER"
-        except UnityCatalogError:
-            fenced_rejection = False
-
-    # lift the crash and stream the old leader back up, then require
-    # every replica of every shard to agree byte-for-byte
-    if crash_op is not None:
-        faults.restore(crash_op)
-    converged = True
-    for shard in cluster.shards:
-        shard.group.replicate()
-        states = {_normalized_state(replica, mid)
-                  for replica in shard.group.replicas}
-        converged = converged and len(states) == 1
-
-    snapshot = cluster.obs.metrics.snapshot()
-
-    def total(prefix: str, *needles: str) -> float:
-        return sum(v for k, v in snapshot.items()
-                   if k.startswith(prefix) and all(n in k for n in needles))
-
-    window = None
-    if crash_time is not None and first_accept_time is not None:
-        window = first_accept_time - crash_time
-    return {
-        "reads": reads,
-        "read_errors": read_errors,
-        "writes_accepted": writes_accepted,
-        "writes_rejected": rejected,
-        "write_window_s": window,
-        "epoch": group.epoch,
-        "failovers": total("uc_replica_failovers_total"),
-        "fenced_writes": total("uc_replica_fenced_writes_total"),
-        "fenced_rejection": fenced_rejection,
-        "replicas_converged": converged,
-        "follower_reads": total("uc_replica_reads_total", 'role="follower"'),
-        "state": _cluster_state(cluster, mid),
-    }
-
-
-def run_failover(seed: int = 11) -> dict[str, Any]:
-    """Kill-the-leader chaos run + its no-failure twin, with gates."""
-    chaos = run_failover_trace(seed, crash=True)
-    twin = run_failover_trace(
-        seed, crash=False, skip_writes=frozenset(chaos["writes_rejected"])
-    )
-    window_bound = FAILOVER_LEASE_S * FAILOVER_WINDOW_FACTOR
-    report: dict[str, Any] = {
-        "bench": "failover",
-        "config": {
-            "seed": seed,
-            "shards": FAILOVER_SHARDS,
-            "replicas_per_shard": FAILOVER_REPLICAS,
-            "lease_duration_s": FAILOVER_LEASE_S,
-            "ops": FAILOVER_OPS,
-            "crash_at_op": FAILOVER_CRASH_AT,
-            "step_s": FAILOVER_STEP_S,
-            "write_window_bound_s": window_bound,
-        },
-        "chaos": {k: v for k, v in chaos.items() if k != "state"},
-        "twin": {
-            "writes_accepted": twin["writes_accepted"],
-            "writes_rejected": twin["writes_rejected"],
-            "read_errors": twin["read_errors"],
-        },
-    }
-    report["checks"] = {
-        "zero_read_errors": (chaos["read_errors"] == 0
-                             and twin["read_errors"] == 0),
-        "write_window_bounded": (chaos["write_window_s"] is not None
-                                 and chaos["write_window_s"] <= window_bound),
-        "failover_completed": (chaos["failovers"] == 1
-                               and chaos["epoch"] == 2),
-        "deposed_leader_fenced": chaos["fenced_rejection"],
-        "replicas_converged": (chaos["replicas_converged"]
-                               and twin["replicas_converged"]),
-        "twin_state_identical": chaos["state"] == twin["state"],
-        "twin_rejected_nothing": twin["writes_rejected"] == [],
-    }
-    return report
-
-
-def fingerprint(report: dict[str, Any]) -> str:
-    return json.dumps(report, sort_keys=True)
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.scaleout", description=__doc__
-    )
-    parser.add_argument("--seed", type=int, default=11)
+def _options(parser) -> None:
     parser.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4, 8])
     parser.add_argument("--clients", type=int, default=48)
     parser.add_argument("--duration", type=float, default=0.3,
                         help="simulated seconds per closed-loop run")
     parser.add_argument("--fault-rate", type=float, default=0.0)
-    parser.add_argument("--out", default=None,
-                        help="report path (default BENCH_scaleout.json, or "
-                             "BENCH_failover.json with --failover)")
-    parser.add_argument("--check", action="store_true",
-                        help="run twice; fail on scaling or determinism")
-    parser.add_argument("--failover", action="store_true",
-                        help="run the kill-the-leader replica-group chaos "
-                             "bench instead of the scale-out sweep")
     parser.add_argument("--wallclock", action="store_true",
                         help="also measure real-thread req/s at "
                              f"{WALLCLOCK_SHARDS} shards (reported in a "
@@ -796,101 +451,56 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--wallclock-duration", type=float,
                         default=WALLCLOCK_DURATION_S,
                         help="real seconds per wall-clock measurement")
-    args = parser.parse_args(argv)
 
-    if args.failover:
-        return _main_failover(args)
-    args.out = args.out or "BENCH_scaleout.json"
-    report = run_scaleout(
+
+def _run(args) -> dict[str, Any]:
+    return run_scaleout(
         args.seed, tuple(args.shards), clients=args.clients,
         duration=args.duration, fault_rate=args.fault_rate,
     )
-    deterministic = None
-    if args.check:
-        # determinism is judged on the simulated report only, before any
-        # (inherently noisy) wall-clock section is attached
-        second = run_scaleout(
-            args.seed, tuple(args.shards), clients=args.clients,
-            duration=args.duration, fault_rate=args.fault_rate,
-        )
-        deterministic = fingerprint(report) == fingerprint(second)
-        report["checks"]["deterministic"] = deterministic
 
-    if args.wallclock:
-        report["wallclock"] = run_wallclock(
-            args.seed, threads=args.wallclock_threads,
-            duration=args.wallclock_duration,
-        )
-        report["checks"]["wallclock_scaling_ok"] = \
-            report["wallclock"]["scaling_ok"]
 
-    out_dir = os.path.dirname(args.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _add_wallclock(args, report: dict[str, Any]) -> None:
+    if not args.wallclock:
+        return
+    report["wallclock"] = run_wallclock(
+        args.seed, threads=args.wallclock_threads,
+        duration=args.wallclock_duration,
+    )
+    report["checks"]["wallclock_scaling_ok"] = report["wallclock"]["scaling_ok"]
 
-    for shards in args.shards:
-        mode = report["modes"][str(shards)]
-        print(f"{shards:>2} shard(s): {mode['throughput_qps']:>10,.0f} req/s"
-              f"  p50 {mode['p50_ms']:.3f} ms  p99 {mode['p99_ms']:.3f} ms"
-              f"  scaling {report['scaling'][str(shards)]:.2f}x"
-              f"  errors {mode['user_errors']}")
+
+def _summary(report: dict[str, Any]) -> str:
+    lines = []
+    for shards, mode in report["modes"].items():
+        lines.append(
+            f"{shards:>2} shard(s): {mode['throughput_qps']:>10,.0f} req/s"
+            f"  p50 {mode['p50_ms']:.3f} ms  p99 {mode['p99_ms']:.3f} ms"
+            f"  scaling {report['scaling'][shards]:.2f}x"
+            f"  errors {mode['user_errors']}")
     if "wallclock" in report:
         wc = report["wallclock"]
         for shards, mode in wc["modes"].items():
-            print(f"wallclock {shards:>2} shard(s): "
-                  f"{mode['throughput_qps']:>8,.0f} req/s measured"
-                  f"  ({mode['completed']} requests, "
-                  f"{mode['errors']} errors, "
-                  f"service {mode['service_time_ms']:.2f} ms)")
+            lines.append(f"wallclock {shards:>2} shard(s): "
+                         f"{mode['throughput_qps']:>8,.0f} req/s measured"
+                         f"  ({mode['completed']} requests, "
+                         f"{mode['errors']} errors, "
+                         f"service {mode['service_time_ms']:.2f} ms)")
         top = str(max(wc["shard_counts"]))
-        print(f"wallclock speedup: {wc['speedup'][top]:.2f}x at {top} "
-              f"shards (gate {wc['min_speedup']:.1f}x)")
-    print(f"wrote {args.out}")
-
-    if args.check:
-        failed = [name for name, ok in report["checks"].items() if not ok]
-        if failed:
-            print(f"CHECK FAILED: {', '.join(failed)}", file=sys.stderr)
-            return 1
-        print("checks OK")
-    return 0
+        lines.append(f"wallclock speedup: {wc['speedup'][top]:.2f}x at {top} "
+                     f"shards (gate {wc['min_speedup']:.1f}x)")
+    return "\n".join(lines)
 
 
-def _main_failover(args) -> int:
-    out = args.out or "BENCH_failover.json"
-    report = run_failover(args.seed)
-    if args.check:
-        second = run_failover(args.seed)
-        report["checks"]["deterministic"] = \
-            fingerprint(report) == fingerprint(second)
+SCENARIO = harness.Scenario(
+    name="scaleout", doc=__doc__, seed=11, run=_run, summary=_summary,
+    options=_options, wallclock=_add_wallclock,
+)
 
-    out_dir = os.path.dirname(out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
-    chaos = report["chaos"]
-    print(f"failover: {chaos['reads']} reads, {chaos['read_errors']} read "
-          f"errors, {chaos['writes_accepted']} writes accepted, "
-          f"{len(chaos['writes_rejected'])} rejected in the failure window")
-    print(f"write-unavailability window: {chaos['write_window_s']:.3f}s "
-          f"(bound {report['config']['write_window_bound_s']:.3f}s), "
-          f"epoch {chaos['epoch']}, "
-          f"fenced rejection: {chaos['fenced_rejection']}")
-    print(f"wrote {out}")
-
-    failed = [name for name, ok in report["checks"].items() if not ok]
-    if failed:
-        print(f"CHECK FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    print("checks OK")
-    return 0
+def main(argv: Optional[list[str]] = None) -> int:
+    return harness.main(SCENARIO, argv)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

@@ -183,6 +183,7 @@ class SqliteMetadataStore(MetadataStore):
         # anyway and the catalog's writes are per-metastore serialized above.
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._lock = threading.RLock()
+        self.read_count = 0
         self.multi_get_count = 0
         self.scan_row_count = 0
         self.range_scan_count = 0
@@ -273,6 +274,7 @@ class SqliteMetadataStore(MetadataStore):
             raise ConcurrentModificationError(
                 f"snapshot version {version} is ahead of committed {current}"
             )
+        self.read_count += 1
         return _SqliteSnapshot(self, metastore_id, version)
 
     def commit(self, metastore_id: str, expected_version: int, ops: list[WriteOp]) -> int:

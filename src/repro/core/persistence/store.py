@@ -266,6 +266,11 @@ class MetadataStore(abc.ABC):
     the caller's expected version (compare-and-swap). A failed CAS raises
     :class:`~repro.errors.ConcurrentModificationError` and the caller
     (typically a cache node) must reconcile and retry.
+
+    Every backend counts its read work in ``read_count`` (snapshot
+    opens), ``multi_get_count``, ``range_scan_count`` and
+    ``scan_row_count`` (rows examined); QoS admission and the benches
+    charge from them.
     """
 
     @abc.abstractmethod

@@ -215,12 +215,9 @@ class ServiceKernel:
         yield ("uc_objectstore_deletes_total", {}, store_stats.deletes)
         yield ("uc_objectstore_bytes_read_total", {}, store_stats.bytes_read)
         yield ("uc_objectstore_bytes_written_total", {}, store_stats.bytes_written)
-        yield ("uc_store_multi_get_total", {},
-               getattr(self.store, "multi_get_count", 0))
-        yield ("uc_store_range_scans_total", {},
-               getattr(self.store, "range_scan_count", 0))
-        yield ("uc_store_scan_rows_total", {},
-               getattr(self.store, "scan_row_count", 0))
+        yield ("uc_store_multi_get_total", {}, self.store.multi_get_count)
+        yield ("uc_store_range_scans_total", {}, self.store.range_scan_count)
+        yield ("uc_store_scan_rows_total", {}, self.store.scan_row_count)
 
     def _register_node_collector(self, name: str, node: MetastoreCacheNode) -> None:
         """Export one cache node's tier stats, labelled by metastore."""

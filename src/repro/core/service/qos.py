@@ -153,15 +153,16 @@ def work_snapshot(service) -> tuple:
     """Counters the measured-work cost model charges from.
 
     The same signals ``bench/scaleout`` converts into simulated CPU/DB
-    time: authorization evaluations, store point reads (including
-    ``multi_get`` members), and scan rows examined.
+    time: authorization evaluations, store reads (snapshot opens and
+    ``multi_get`` calls), and scan rows examined. Every store keeps
+    these counters.
     """
     auth = service.authorizer
     store = service.store
     return (
         auth.evaluations + auth.identity_expansions,
-        getattr(store, "read_count", 0) + getattr(store, "multi_get_count", 0),
-        getattr(store, "scan_row_count", 0),
+        store.read_count + store.multi_get_count,
+        store.scan_row_count,
     )
 
 

@@ -1,7 +1,12 @@
-"""The benchmark harness: stats, the DB queueing model, the closed loop."""
+"""The benchmark harness: stats, the DB queueing model, the closed loop,
+and the CLI every simulated bench runs under."""
+
+import itertools
+import json
 
 import pytest
 
+from repro.bench import harness
 from repro.bench.latency import DbServerModel, LatencyModel
 from repro.bench.loadgen import run_closed_loop
 from repro.bench.report import ascii_bar_chart, paper_row, render_table
@@ -151,3 +156,57 @@ class TestReport:
     def test_paper_row_shape(self):
         row = paper_row("metric", "~20x", 19.5, "good")
         assert row == ["metric", "~20x", 19.5, "good"]
+
+
+def fake_scenario(run, wallclock=None):
+    return harness.Scenario(name="fake", doc="a fake bench", seed=5, run=run,
+                            summary=lambda report: "fake summary",
+                            wallclock=wallclock)
+
+
+class TestHarnessMain:
+    def test_run_that_differs_between_calls_fails_check(self, tmp_path):
+        calls = itertools.count()
+        fake = fake_scenario(lambda args: {"n": next(calls),
+                                           "checks": {"ok": True}})
+        out = tmp_path / "report.json"
+        assert harness.main(fake, ["--out", str(out), "--check"]) == 1
+        report = json.loads(out.read_text())
+        assert report["checks"] == {"ok": True, "deterministic": False}
+
+    def test_failing_check_exits_1_and_still_writes_the_report(self, tmp_path):
+        fake = fake_scenario(lambda args: {"seed": args.seed,
+                                           "checks": {"gate": False}})
+        out = tmp_path / "report.json"
+        assert harness.main(fake, ["--out", str(out), "--check"]) == 1
+        assert json.loads(out.read_text()) == {
+            "bench": "fake", "seed": 5,
+            "checks": {"gate": False, "deterministic": True},
+        }
+        assert out.read_text().endswith("}\n")
+
+    def test_wallclock_keys_do_not_fail_the_determinism_check(self, tmp_path):
+        calls = itertools.count()
+        order = []
+
+        def run(args):
+            order.append("run")
+            return {"wallclock_s": next(calls),
+                    "modes": {"a": {"qps": 1, "wallclock": next(calls)}},
+                    "checks": {}}
+
+        def wallclock(args, report):
+            order.append("wallclock")
+            report["wallclock"] = {"qps": next(calls)}
+
+        out = tmp_path / "report.json"
+        fake = fake_scenario(run, wallclock)
+        assert harness.main(fake, ["--out", str(out), "--check"]) == 0
+        assert json.loads(out.read_text())["checks"] == {"deterministic": True}
+        assert order == ["run", "run", "wallclock"]  # measured once, last
+
+    def test_out_into_a_directory_that_does_not_exist_yet(self, tmp_path):
+        out = tmp_path / "a" / "b" / "BENCH_fake.json"
+        fake = fake_scenario(lambda args: {"checks": {"gate": False}})
+        assert harness.main(fake, ["--out", str(out)]) == 0  # no --check
+        assert json.loads(out.read_text())["bench"] == "fake"

@@ -1,11 +1,15 @@
 """The chaos bench: zero user-visible errors and seed-exact determinism."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 
-from repro.bench.chaos import check_determinism, run_chaos_scenario
-from repro.bench.qos import fingerprint as qos_fingerprint
+from repro.bench import chaos
+from repro.bench.chaos import run_chaos_scenario
+from repro.bench.harness import fingerprint
 from repro.bench.qos import run_qos_scenario
-from repro.bench.scaleout import fingerprint, run_scaleout
+from repro.bench.scaleout import run_scaleout
 
 SEEDS = [11, 23, 47]
 
@@ -24,20 +28,24 @@ def test_faults_absorbed_with_zero_user_errors(seed):
 def test_same_seed_is_byte_identical():
     first = run_chaos_scenario(seed=SEEDS[0], operations=120, fault_rate=0.10)
     second = run_chaos_scenario(seed=SEEDS[0], operations=120, fault_rate=0.10)
-    assert first.fingerprint() == second.fingerprint()
+    assert fingerprint(asdict(first)) == fingerprint(asdict(second))
 
 
 def test_different_seeds_diverge():
     a = run_chaos_scenario(seed=SEEDS[0], operations=120, fault_rate=0.10)
     b = run_chaos_scenario(seed=SEEDS[1], operations=120, fault_rate=0.10)
-    assert a.fingerprint() != b.fingerprint()
+    assert fingerprint(asdict(a)) != fingerprint(asdict(b))
 
 
-def test_check_determinism_runs_every_seed_twice():
-    reports, mismatched = check_determinism(SEEDS[:2], operations=60,
-                                            fault_rate=0.10)
-    assert mismatched == []
-    assert [r.seed for r in reports] == SEEDS[:2]
+def test_check_determinism_runs_every_seed_twice(tmp_path):
+    out = tmp_path / "BENCH_chaos.json"
+    seeds = [str(seed) for seed in SEEDS[:2]]
+    assert chaos.main(["--seeds", *seeds, "--ops", "60",
+                       "--out", str(out), "--check"]) == 0
+    report = json.loads(out.read_text())
+    assert report["checks"] == {"zero_user_errors": True,
+                                "deterministic": True}
+    assert [run["seed"] for run in report["runs"]] == SEEDS[:2]
 
 
 def test_sharded_scaleout_absorbs_faults_with_zero_user_errors():
@@ -87,10 +95,10 @@ def test_qos_chaos_in_budget_tenants_see_no_errors():
 def test_qos_chaos_same_seed_is_byte_identical():
     first = run_qos_scenario(seed=SEEDS[0], fault_rate=0.10)
     second = run_qos_scenario(seed=SEEDS[0], fault_rate=0.10)
-    assert qos_fingerprint(first) == qos_fingerprint(second)
+    assert fingerprint(first) == fingerprint(second)
 
 
 def test_qos_chaos_different_seeds_diverge():
     a = run_qos_scenario(seed=SEEDS[0], fault_rate=0.10)
     b = run_qos_scenario(seed=SEEDS[1], fault_rate=0.10)
-    assert qos_fingerprint(a) != qos_fingerprint(b)
+    assert fingerprint(a) != fingerprint(b)

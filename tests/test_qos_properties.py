@@ -38,6 +38,7 @@ from repro.core.service.qos import (
     PRIORITY_CLASSES,
     QosConfig,
     QosScheduler,
+    work_snapshot,
 )
 from repro.errors import TenantThrottledError, UnityCatalogError
 
@@ -319,7 +320,7 @@ def _observable_state(service: UnityCatalogService) -> str:
         {
             "clock": service.clock.now(),
             "audit": audit,
-            "reads": getattr(service.store, "read_count", 0),
+            "reads": service.store.read_count,
             "scans": service.store.scan_row_count,
             "auth_evals": service.authorizer.evaluations,
         },
@@ -369,6 +370,17 @@ def test_qos_enabled_with_roomy_budgets_changes_no_outcome(backend,
     snapshot = generous.qos.snapshot()
     assert snapshot["shed"] == {}
     assert snapshot["queued"] == {}
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_work_snapshot_counts_a_snapshot_open_on_every_backend(backend):
+    """A snapshot open is one read on every store, so admission charges a
+    SQLite-backed tenant the reads it charges a memory-backed one."""
+    service = _build_service(backend, qos=None)
+    mid = service.create_metastore("m", owner="alice").id
+    before = work_snapshot(service)
+    service.store.snapshot(mid)
+    assert work_snapshot(service)[1] - before[1] == 1
 
 
 def test_scheduler_snapshot_deterministic_across_runs():

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.scaleout import entity_tokens
+from repro.bench.failover import entity_tokens
 from repro.clock import SimClock
 from repro.core.auth.privileges import Privilege
 from repro.core.cluster import CatalogCluster
