@@ -18,6 +18,18 @@ bounded on every side:
   number, above :data:`MAX_BODY_BYTES`, or ``Transfer-Encoding``) is
   answered with ``Connection: close`` and the connection ends, because
   the unread body would otherwise be parsed as the next request.
+* **A bounded request head, read here.** The request line and each
+  header line are one ``readline`` of at most :data:`MAX_LINE_BYTES`,
+  and the headers land in a dict of lower-cased names; no ``email``
+  parser runs per request. A request line over the bound is a 414, a
+  malformed one a 400, ``HTTP/2.0`` or later a 505 and a method the
+  router does not serve a 501; a header line over the bound, or more
+  than :data:`MAX_HEADERS` of them, is a 431. A folded header line,
+  whitespace between a header name and its colon, and two
+  ``Content-Length`` values that differ are each a 400: two readers
+  could disagree on where such a request ends, which is how a second
+  request is smuggled inside the first one's body (RFC 9112 §5, §6.3).
+  Every refusal is JSON with ``Connection: close``.
 * **Reaped when idle.** A read that waits :data:`IDLE_TIMEOUT_SECONDS`
   ends the connection, so a silent client cannot pin its thread.
 * **Joined at shutdown.** The server knows every live connection;
@@ -31,11 +43,16 @@ the wall-clock benchmark's traced pass replaces exactly those two.
 from __future__ import annotations
 
 import json
+import re
 import socket
+import socketserver
 import sys
 import threading
+import time
+from email.utils import formatdate
+from http import HTTPStatus
 from http.client import HTTPConnection, HTTPException
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Optional
 from urllib.parse import parse_qsl, quote, unquote, urlencode, urlsplit
 
@@ -55,15 +72,71 @@ IDLE_TIMEOUT_SECONDS = 30.0
 #: Largest request body read; a longer ``Content-Length`` is a 413.
 MAX_BODY_BYTES = 1 << 20
 
+#: Longest request line (414) or header line (431), line ending included.
+MAX_LINE_BYTES = 1 << 16
+
+#: Most header lines one request may carry; one more is a 431.
+MAX_HEADERS = 100
+
+#: The methods the router serves; any other is a 501.
+_METHODS = frozenset({"GET", "POST", "PATCH", "DELETE"})
+
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+
+#: A whole header line: a token name, its colon right after it, and a
+#: value without CR or LF. The value's outer blanks are stripped after the
+#: match: two adjacent runs that both match a blank backtrack quadratically.
+_HEADER_LINE = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([^\r\n]*)\r?\n")
+
+#: (wall-clock second, its ``Date`` value), replaced as one tuple
+_date = (0, "")
+
 
 def _error(code: str, message: str) -> dict[str, str]:
     return {"error_code": code, "message": message}
 
 
-class _Handler(BaseHTTPRequestHandler):
+def _http_date() -> str:
+    """The ``Date`` header's value, formatted once per wall-clock second."""
+    global _date
+    now = int(time.time())
+    second, text = _date
+    if second != now:
+        text = formatdate(now, usegmt=True)
+        _date = (now, text)
+    return text
+
+
+def _http_version(word: str) -> Optional[tuple[int, int]]:
+    """``HTTP/<major>.<minor>`` as two numbers, by the stdlib's rules
+    (one dot, ASCII digits, at most ten of them each); ``None`` if not."""
+    if word == "HTTP/1.1":
+        return 1, 1
+    numbers = word[5:].split(".") if word.startswith("HTTP/") else ()
+    if len(numbers) != 2 or not all(
+            n.isascii() and n.isdigit() and len(n) <= 10 for n in numbers):
+        return None
+    return int(numbers[0]), int(numbers[1])
+
+
+def _bad_header_line(line: bytes) -> str:
+    """Why a line that is neither a header field nor the blank line was refused."""
+    if not line.endswith(b"\n"):
+        return "connection ended inside the request head"
+    if line[:1] in (b" ", b"\t"):
+        return "obsolete line folding is not accepted"
+    name, colon, _ = line.partition(b":")
+    if colon and name != name.rstrip(b" \t"):
+        return "whitespace between a header name and its colon"
+    return f"malformed header line: {line[:80].decode('latin-1')!r}"
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: request after request, each read from its request
+    line to its body and answered with one write."""
+
     api: RestApi  # set by server factory
 
-    protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
 
     def setup(self) -> None:
@@ -71,50 +144,115 @@ class _Handler(BaseHTTPRequestHandler):
         self.timeout = IDLE_TIMEOUT_SECONDS
         super().setup()
 
-    def log_message(self, fmt: str, *args) -> None:  # silence stderr
-        pass
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self._serve_one()
+        except TimeoutError:
+            pass  # idle (or stalled) past IDLE_TIMEOUT_SECONDS: it ends
 
-    def _dispatch(self, method: str) -> None:
-        raw = self._read_body()
+    def _serve_one(self) -> None:
+        """Read one request, request line to body, and answer it in one
+        write; a refusal anywhere on the way ends the connection."""
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        # until the request says otherwise, its answer is the last one
+        self.close_connection = True
+        if not line:
+            return  # the client closed between requests
+        if len(line) > MAX_LINE_BYTES:
+            return self._refuse(414, f"request line over {MAX_LINE_BYTES} bytes")
+        words = line.decode("latin-1").split()
+        if len(words) != 3:
+            return self._refuse(400, "malformed request line: "
+                                     f"{line[:80].decode('latin-1').rstrip()!r}")
+        method, target, word = words
+        version = _http_version(word)
+        if version is None:
+            return self._refuse(400, f"malformed HTTP version: {word[:20]!r}")
+        if version >= (2, 0):
+            return self._refuse(505, f"HTTP version {word[5:]} is not supported")
+        if method not in _METHODS:
+            return self._refuse(501, f"method {method[:20]!r} is not supported")
+        headers = self._read_headers()
+        if headers is None:
+            return
+        connection = headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            version < (1, 1) and connection != "keep-alive")
+        raw = self._read_body(
+            headers, version >= (1, 1)
+            and headers.get("expect", "").lower() == "100-continue")
         if raw is None:
             return
+        if target.startswith("//"):  # never an authority: one leading slash
+            target = "/" + target.lstrip("/")
         try:
-            response = self._frame(*self._answer(method, raw))
+            response = self._frame(*self._answer(method, target, headers, raw))
         except Exception as exc:
             # the boundary that must keep serving: a defect below the
             # router costs this request a 500, not the client its reply
             response = self._frame(500, _error(
                 "INTERNAL_ERROR", f"{type(exc).__name__}: {exc}"))
         # one write, so one segment: see the module docstring
-        self.wfile.write(response)
+        self.connection.sendall(response)
 
-    def _read_body(self) -> Optional[bytes]:
+    def _read_headers(self) -> Optional[dict[str, str]]:
+        """The header fields up to the blank line, by lower-cased name (the
+        first of repeated ones); ``None`` once the head has been refused."""
+        headers: dict[str, str] = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if line == b"\r\n" or line == b"\n":
+                return headers
+            if len(line) > MAX_LINE_BYTES:
+                return self._refuse(431, f"header line over {MAX_LINE_BYTES} bytes")
+            field = _HEADER_LINE.fullmatch(line)
+            if field is None:
+                return self._refuse(400, _bad_header_line(line))
+            name = field[1].lower().decode("ascii")
+            value = field[2].strip(b" \t").decode("latin-1")
+            if name not in headers:
+                headers[name] = value
+            elif name == "content-length" and headers[name] != value:
+                # read with either length, the rest of the body would be
+                # taken for the next request (RFC 9112 §6.3)
+                return self._refuse(400, "conflicting Content-Length values: "
+                                         f"{headers[name][:20]!r} and {value[:20]!r}")
+        return self._refuse(431, f"more than {MAX_HEADERS} header lines")
+
+    def _read_body(self, headers: dict[str, str],
+                   continue_first: bool) -> Optional[bytes]:
         """The request body; ``None`` once the request has been refused
         on its framing (answered, and the connection marked to close)."""
-        if self.headers.get("Transfer-Encoding"):
+        if "transfer-encoding" in headers:
             return self._refuse(411, "Transfer-Encoding is not accepted: "
                                      "send the body with Content-Length")
-        declared = (self.headers.get("Content-Length") or "0").strip()
+        declared = headers.get("content-length", "0")
         if not (declared.isascii() and declared.isdigit()):
             return self._refuse(400, f"Content-Length is not a length: {declared!r}")
-        length = int(declared)
+        # int() refuses a string of over 4,300 digits: never ask it to
+        length = int(declared) if len(declared) < 19 else MAX_BODY_BYTES + 1
         if length > MAX_BODY_BYTES:
-            return self._refuse(413, f"request body of {length} bytes is over "
-                                     f"the limit of {MAX_BODY_BYTES}")
+            return self._refuse(413, "request body is over the limit of "
+                                     f"{MAX_BODY_BYTES} bytes")
+        if continue_first and length:
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         raw = self.rfile.read(length)
         if len(raw) < length:
             return self._refuse(400, "connection ended before the declared body")
         return raw
 
     def _refuse(self, status: int, message: str) -> None:
-        # the body was not consumed, so nothing after it can be trusted
-        # to start a request
+        # the rest of the request was not read, so nothing after it can be
+        # trusted to start a request
         self.close_connection = True
-        self.wfile.write(
+        self.connection.sendall(
             self._frame(status, _error("INVALID_PARAMETER_VALUE", message)))
 
-    def _answer(self, method: str, raw: bytes) -> tuple[int, Any]:
-        split = urlsplit(self.path)
+    def _answer(self, method: str, target: str, headers: dict[str, str],
+                raw: bytes) -> tuple[int, Any]:
+        split = urlsplit(target)
         body: dict[str, Any] = {}
         if raw:
             try:
@@ -125,7 +263,7 @@ class _Handler(BaseHTTPRequestHandler):
             if not isinstance(body, dict):
                 return 400, _error("INVALID_PARAMETER_VALUE",
                                    "request body must be a JSON object")
-        principal = self.headers.get(_PRINCIPAL_HEADER, "")
+        principal = headers.get("x-unity-principal", "")
         if not principal and (split.path.strip("/").split("/", 1)[0]
                               not in _UNAUTHENTICATED_PREFIXES):
             return 401, _error("PERMISSION_DENIED",
@@ -142,8 +280,8 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             content_type, data = "application/json", json.dumps(payload).encode()
         head = [
-            f"HTTP/1.1 {status} {self.responses.get(status, ('',))[0]}",
-            f"Date: {self.date_time_string()}",
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
+            f"Date: {_http_date()}",
             f"Content-Type: {content_type}",
             f"Content-Length: {len(data)}",
         ]
@@ -155,18 +293,6 @@ class _Handler(BaseHTTPRequestHandler):
         if self.close_connection:
             head.append("Connection: close")
         return "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + data
-
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-    def do_PATCH(self) -> None:
-        self._dispatch("PATCH")
-
-    def do_DELETE(self) -> None:
-        self._dispatch("DELETE")
 
 
 class _ConnectionTrackingServer(ThreadingHTTPServer):

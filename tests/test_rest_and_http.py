@@ -1,5 +1,6 @@
 """The REST API layer and the real HTTP transport."""
 
+import email.feedparser
 import http.client
 import json
 import socket
@@ -441,14 +442,36 @@ class TestRequestFraming:
     """Every request read gets a framed JSON answer or a deliberate close."""
 
     SCHEMAS = f"{BASE}/schemas"
+    SMUGGLED = _wire("GET", GET_ORDERS)
 
     @pytest.mark.parametrize("status, wire", [
         (400, _wire("POST", SCHEMAS, length="abc")),
         (400, _wire("POST", SCHEMAS, length=-1)),
         (413, _wire("POST", SCHEMAS, length=http_server.MAX_BODY_BYTES + 1)),
+        (413, _wire("POST", SCHEMAS, length="9" * 5000)),
         (411, _wire("POST", SCHEMAS, headers=("Transfer-Encoding: chunked",),
                     body=b"2\r\n{}\r\n0\r\n\r\n", length=None)),
-    ], ids=["length-not-a-number", "length-negative", "over-the-cap", "chunked"])
+        (501, _wire("PUT", SCHEMAS)),
+        (400, b"GET /a /b HTTP/1.1\r\n\r\n"),
+        (414, _wire("GET", "/" + "a" * http_server.MAX_LINE_BYTES)),
+        (505, _wire("GET", GET_ORDERS, version="HTTP/2.0")),
+        (431, _wire("GET", GET_ORDERS,
+                    headers=("X-Long: " + "a" * http_server.MAX_LINE_BYTES,))),
+        (431, _wire("GET", GET_ORDERS, headers=tuple(
+            f"X-Extra-{index}: {index}"
+            for index in range(http_server.MAX_HEADERS)))),
+        # read with the first length, the rest of the body would be
+        # answered as a second, smuggled request
+        (400, _wire("POST", SCHEMAS, body=b"{}" + SMUGGLED, length=2,
+                    headers=(f"Content-Length: {2 + len(SMUGGLED)}",))),
+        (400, _wire("GET", GET_ORDERS, principal="",
+                    headers=("X-Unity-Principal : alice",))),
+        (400, _wire("GET", GET_ORDERS, headers=("X-Note: one", " two"))),
+    ], ids=["length-not-a-number", "length-negative", "over-the-cap",
+            "length-of-5000-digits", "chunked",
+            "unsupported-method", "malformed-request-line", "request-line-too-long",
+            "http-2", "header-line-too-long", "too-many-headers",
+            "conflicting-lengths", "space-before-colon", "obs-fold"])
     def test_untrusted_framing_is_answered_then_closed(
         self, raw, status, wire, capfd
     ):
@@ -459,6 +482,14 @@ class TestRequestFraming:
         assert json.loads(body)["error_code"] == "INVALID_PARAMETER_VALUE"
         assert raw.at_eof()
         assert capfd.readouterr().err == ""
+
+    def test_expect_continue_is_answered_before_the_body(self, raw):
+        body = json.dumps({"metastore": "main", "tables": [TABLE]}).encode()
+        raw.sock.sendall(_wire("POST", f"{BASE}/resolve", length=len(body),
+                               headers=("Expect: 100-continue",)))
+        assert raw.reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert raw.reader.readline() == b"\r\n"
+        assert raw.exchange(body)[0] == 200
 
     def test_body_shorter_than_declared(self, raw):
         raw.sock.sendall(_wire("POST", self.SCHEMAS, body=b'{"a"', length=40))
@@ -499,6 +530,31 @@ class TestRequestFraming:
         connection.close()
         server.stop()
         assert capfd.readouterr().err == ""
+
+
+def test_requests_are_read_without_the_stdlib_header_parser(raw, monkeypatch):
+    """The request head is read by the handler itself: the email-based
+    parser behind ``http.client.parse_headers`` is never called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stdlib header parser was called")
+
+    monkeypatch.setattr(http.client, "parse_headers", refuse)
+    monkeypatch.setattr(email.feedparser, "FeedParser", refuse)
+    assert raw.exchange(_wire("GET", GET_ORDERS))[0] == 200
+    resolved = raw.exchange(_wire(
+        "POST", f"{BASE}/resolve",
+        body=json.dumps({"metastore": "main", "tables": [TABLE]}).encode()))
+    assert resolved[0] == 200
+    assert list(json.loads(resolved[2])["assets"]) == [TABLE]
+    raw.sock.sendall(
+        _wire("GET", GET_ORDERS)
+        + _wire("GET", f"{BASE}/catalogs?metastore=main"))
+    first = _read_response(raw.reader)
+    second = _read_response(raw.reader)
+    assert (first[0], second[0]) == (200, 200)
+    assert json.loads(first[2])["name"] == "orders"
+    assert [c["name"] for c in json.loads(second[2])["items"]] == ["sales"]
+    assert "connection" not in second[1]
 
 
 class TestHttpClient:
