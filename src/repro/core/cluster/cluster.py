@@ -23,9 +23,9 @@ owns what spans shards:
   shard goes dark, ``stale_ok`` reads fall back to the router's
   last-known-good response cache instead of erroring, while writes fail
   fast with the breaker's retryable error;
-* **invalidation** — after any cross-shard mutation the cluster relays
-  the involved shards' change events onto a cluster-wide bus and drops
-  the stale-read entries for those shards.
+* **invalidation** — after any cross-shard mutation the cluster drops
+  the stale-read entries of the involved shards and streams their new
+  change-log entries to the shards' followers.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.clock import Clock, SimClock
 from repro.cloudstore.object_store import ObjectStore
 from repro.cloudstore.sts import StsTokenIssuer
 from repro.core.auth.principals import PrincipalDirectory
-from repro.core.events import ChangeEventBus
 from repro.core.model.entity import Entity, new_entity_id
 from repro.core.persistence.memory import InMemoryMetadataStore
 from repro.core.persistence.store import MetadataStore
@@ -126,14 +125,11 @@ class CatalogCluster:
         enable_fast_path: Optional[bool] = None,
         read_version_check: bool = False,
         request_timeout: Optional[float] = None,
-        breaker_failure_threshold: int = 3,
         breaker_reset_timeout: float = 30.0,
-        breaker_half_open_max_probes: int = 1,
         stale_cache_size: int = 1024,
         replicas_per_shard: int = 1,
         read_preference: str = "leader",
         lease_duration: float = 2.0,
-        lease_jitter: float = 0.25,
         replica_log_capacity: int = 4096,
         txn_log_retention: int = 1024,
         qos=None,
@@ -178,7 +174,6 @@ class CatalogCluster:
                 tracer=self.obs.tracer,
                 faults=faults,
                 lease_duration=lease_duration,
-                lease_jitter=lease_jitter,
                 seed=0x1EA5E ^ (index * 0x9E37),
                 log_capacity=replica_log_capacity,
             )
@@ -207,13 +202,12 @@ class CatalogCluster:
                 )
                 breaker = CircuitBreaker(
                     self.clock,
-                    failure_threshold=breaker_failure_threshold,
+                    failure_threshold=3,
                     reset_timeout=breaker_reset_timeout,
                     metrics=metrics,
                     name=(f"shard.{name}" if rindex == 0
                           else f"shard.{name}.{rname}"),
                     failure_types=(TransientError,),
-                    half_open_max_probes=breaker_half_open_max_probes,
                 )
                 # replica 0 serves on the shard's own worker so worker
                 # placement (and worker_wrap hooks) stay shard-keyed
@@ -238,7 +232,6 @@ class CatalogCluster:
         self.coordinator = TwoPhaseCoordinator(
             self.clock, metrics=metrics, log_retention=txn_log_retention
         )
-        self.events = ChangeEventBus()
         #: last-known-good responses for ``stale_ok`` reads, keyed by
         #: (shard, api, frozen params); consulted only when the owning
         #: shard is dark. LRU-bounded (insertion order + touch-on-use):
@@ -270,11 +263,6 @@ class CatalogCluster:
         self._stale_reads = metrics.counter(
             "uc_shard_stale_reads_total",
             "Reads served from the last-known-good cache (shard dark).",
-            ("shard",),
-        )
-        self._invalidations = metrics.counter(
-            "uc_shard_invalidation_events_total",
-            "Cross-shard invalidation events relayed, by source shard.",
             ("shard",),
         )
         self._migration_stages = metrics.counter(
@@ -729,9 +717,8 @@ class CatalogCluster:
             # this one did not. Roll nothing back — the applied writes
             # are durable — but abort the txn so its key lock is released
             # (later broadcasts of the key must not wedge), put the
-            # partial state on the transaction record, relay the applied
-            # shards' events, and surface the divergence as an explicit,
-            # non-retryable error.
+            # partial state on the transaction record, and surface the
+            # divergence as an explicit, non-retryable error.
             shard, exc = failure
             txn.details.update(
                 applied=tuple(s.name for s in applied),
@@ -805,10 +792,9 @@ class CatalogCluster:
 
     def after_mutation(self, shards, metastore_id: Optional[str],
                        session=None) -> None:
-        """Relay the involved shards' change events to the cluster bus,
-        drop their stale-read cache entries, stream the new change-log
-        entries to their followers, and stamp the caller's read session
-        for read-your-writes."""
+        """Drop the involved shards' stale-read cache entries, stream
+        their new change-log entries to their followers, and stamp the
+        caller's read session for read-your-writes."""
         names = {shard.name for shard in shards}
         with self._lock:
             if self._stale:
@@ -818,20 +804,7 @@ class CatalogCluster:
                 }
         for shard in shards:
             shard.group.replicate()
-        if metastore_id is None:
-            return
-        for shard in shards:
-            events = shard.service.events.poll(
-                metastore_id, consumer="cluster-relay"
-            )
-            for event in events:
-                self._invalidations.labels(shard=shard.name).inc()
-                self.events.publish(
-                    metastore_id, event.metastore_version, event.change,
-                    event.securable_id, event.securable_kind,
-                    event.securable_name, event.timestamp, event.details,
-                )
-        if session is not None:
+        if metastore_id is not None and session is not None:
             for shard in shards:
                 try:
                     version = shard.group.leader().store.current_version(

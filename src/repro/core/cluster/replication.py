@@ -46,7 +46,7 @@ from random import Random
 from typing import Any, Iterator, Optional
 
 from repro.clock import Clock
-from repro.core.persistence.store import MetadataStore, Tables, WriteOp
+from repro.core.persistence.store import MetadataStore, WriteOp
 from repro.errors import (
     FencingTokenError,
     InvalidRequestError,
@@ -58,6 +58,10 @@ from repro.errors import (
 
 #: read preferences a dispatch may request (`_read_preference` kwarg)
 READ_PREFERENCES = ("leader", "follower", "nearest_fresh")
+
+#: a lease lasts ``lease_duration`` times 1 to 1 + this (seeded draw), so
+#: replicas whose leases were granted together do not expire together
+_LEASE_JITTER = 0.25
 
 
 @dataclass(frozen=True)
@@ -263,7 +267,6 @@ class ReplicaGroup:
         tracer=None,
         faults=None,
         lease_duration: float = 2.0,
-        lease_jitter: float = 0.25,
         seed: int = 0,
         log_capacity: int = 4096,
     ):
@@ -272,7 +275,6 @@ class ReplicaGroup:
         self._tracer = tracer
         self._faults = faults
         self._lease_duration = lease_duration
-        self._lease_jitter = lease_jitter
         #: group-local RNG: lease jitter never perturbs any other stream
         self._rng = Random(seed)
         self.log = ReplicatedChangeLog(log_capacity)
@@ -378,7 +380,7 @@ class ReplicaGroup:
 
     def _grant_lease_locked(self, replica: Replica) -> None:
         duration = self._lease_duration * (
-            1.0 + self._lease_jitter * self._rng.random()
+            1.0 + _LEASE_JITTER * self._rng.random()
         )
         self._lease = LeaderLease(replica.name, self._epoch,
                                   self._clock.now() + duration)
@@ -710,20 +712,6 @@ class ReplicaGroup:
                                    list(entry.ops))
                 if node is not None:
                     node.reconcile()
-        self._maybe_install(replica, entry)
-
-    def _maybe_install(self, replica: Replica, entry: LogEntry) -> None:
-        """A replicated metastore-root creation must also register the
-        metastore with the follower's service (name → id map, cache node,
-        fast-path bundle) — the follower never ran ``create_metastore``."""
-        for op in entry.ops:
-            if (op.table == Tables.ENTITIES and op.value is not None
-                    and op.value.get("kind") == "METASTORE"):
-                service = replica.service
-                with service._lock:
-                    if op.value["name"] not in service._metastore_names:
-                        service._install_metastore(op.value["name"],
-                                                   op.value["id"])
 
     def _resync(self, replica: Replica) -> None:
         """Rebuild a replica from the leader's store via ``changes_since``
@@ -759,12 +747,6 @@ class ReplicaGroup:
                 node = replica.service.cache_node(metastore_id)
                 if node is not None:
                     node.reconcile()
-            root = src.snapshot(metastore_id).get(Tables.ENTITIES, metastore_id)
-            if root is not None and root.get("kind") == "METASTORE":
-                service = replica.service
-                with service._lock:
-                    if root["name"] not in service._metastore_names:
-                        service._install_metastore(root["name"], metastore_id)
         # overlap with entries logged mid-resync is absorbed by the
         # idempotent version check in _apply
         replica.applied = pre_len

@@ -378,9 +378,5 @@ class CatalogMove:
                 return ops, None, []
 
             target.service._mutate(mid, build_undo)
-            # the import leg already published its rename event on the
-            # target's local bus; drain it so the relay consumer never
-            # forwards a change that was rolled back
-            target.service.events.poll(mid, consumer="cluster-relay")
             raise
         return result

@@ -6,6 +6,8 @@ import abc
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
+from repro.errors import NotFoundError
+
 
 class Tables:
     """Logical tables in the metadata store.
@@ -279,7 +281,19 @@ class MetadataStore(abc.ABC):
 
     @abc.abstractmethod
     def metastore_ids(self) -> list[str]:
-        """All metastores known to the store."""
+        """All metastore slots known to the store."""
+
+    def metastore_name(self, metastore_id: str) -> Optional[str]:
+        """The name on a slot's METASTORE root row: ``None`` for an
+        unknown slot or one whose root row is not committed yet. The
+        root row is what makes a slot a metastore."""
+        try:
+            root = self.snapshot(metastore_id).get(Tables.ENTITIES, metastore_id)
+        except NotFoundError:
+            return None
+        if root is None or root.get("kind") != "METASTORE":
+            return None
+        return root["name"]
 
     @abc.abstractmethod
     def current_version(self, metastore_id: str) -> int:

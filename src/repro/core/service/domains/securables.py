@@ -72,7 +72,7 @@ def create_metastore(svc, ctx) -> Entity:
     validate_identifier(name, what="metastore name")
     svc.directory.get(owner)
     with svc._lock:
-        if name in svc._metastore_names:
+        if svc._metastore_named(name) is not None:
             raise AlreadyExistsError(f"metastore exists: {name}")
         # a cluster pre-mints the id so every shard replica shares it
         metastore_id = p.get("metastore_id") or new_entity_id()
@@ -93,7 +93,9 @@ def create_metastore(svc, ctx) -> Entity:
             metastore_id, 0,
             [WriteOp.put(Tables.ENTITIES, metastore_id, entity.to_dict())],
         )
-        svc._install_metastore(name, metastore_id)
+        # memoise the committed name: the first touch then attaches the
+        # caches without a root-row read that requests would be charged
+        svc._memoise(name, metastore_id)
     svc.events.publish(
         metastore_id, new_version, ChangeType.CREATED, metastore_id,
         SecurableKind.METASTORE.value, name, svc.clock.now(),

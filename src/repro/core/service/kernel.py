@@ -164,7 +164,9 @@ class ServiceKernel:
         #: dimension of the decision/resolution caches, built lazily on
         #: first branch read and dropped on merge/delete
         self._branch_hot_caches: dict[tuple[str, str], HotPathCaches] = {}
-        self._metastore_names: dict[str, str] = {}
+        #: metastore name <-> id memos, filled from the store's root rows
+        self._ids_by_name: dict[str, str] = {}
+        self._names_by_id: dict[str, str] = {}
         self._read_version_check = read_version_check
         self._lock = threading.RLock()
         self._api_requests = metrics.counter(
@@ -254,58 +256,96 @@ class ServiceKernel:
     # ------------------------------------------------------------------
     # metastore bookkeeping
     # ------------------------------------------------------------------
+    # The store is the one record of which metastores exist: a slot with a
+    # METASTORE root row. The kernel only memoises names (metastores are
+    # never renamed or dropped, so an entry never goes stale) and attaches
+    # its caches to a metastore on first touch. A restarted service, or a
+    # peer over the same store, therefore serves every metastore in it.
 
-    def _install_metastore(self, name: str, metastore_id: str) -> None:
-        """Attach the per-metastore cache node and fast-path bundle.
+    def _name_of(self, metastore_id: str) -> Optional[str]:
+        """A metastore's name: memoised, else read from its root row
+        (None for a slot without one)."""
+        name = self._names_by_id.get(metastore_id)
+        if name is None:
+            name = self.store.metastore_name(metastore_id)
+            if name is not None:
+                self._memoise(name, metastore_id)
+        return name
 
-        Called (under :attr:`_lock`) by the securables domain right after
-        a metastore slot is created and committed.
-        """
-        self._metastore_names[name] = metastore_id
-        if self.enable_cache:
-            policy = (
-                self._eviction_policy_factory()
-                if self._eviction_policy_factory
-                else None
-            )
-            node = MetastoreCacheNode(
-                self.store,
-                metastore_id,
-                self.registry,
-                clock=self.clock,
-                reconcile_mode=self._reconcile_mode,
-                eviction_policy=policy,
-                max_cached_entities=self._max_cached_entities,
-            )
-            node.warm()
-            self._nodes[metastore_id] = node
-            self._register_node_collector(name, node)
-        if self.enable_fast_path:
-            bundle = HotPathCaches(
-                metastore_id,
-                self.store.current_version(metastore_id),
-                lambda v, mid=metastore_id: self.store.changes_since(mid, v),
-                lambda: self.directory.generation,
-            )
-            self._hot_caches[metastore_id] = bundle
-            self._register_hot_cache_collector(name, bundle)
-
-    def metastore_id(self, name: str) -> str:
-        with self._lock:
-            try:
-                return self._metastore_names[name]
-            except KeyError:
-                raise NotFoundError(f"no such metastore: {name}")
+    def _memoise(self, name: str, metastore_id: str) -> None:
+        self._names_by_id[metastore_id] = name
+        self._ids_by_name[name] = metastore_id
 
     def metastore_ids(self) -> list[str]:
+        """Every metastore in the store, in name order."""
         with self._lock:
-            return list(self._metastore_names.values())
+            names = {mid: self._name_of(mid) for mid in self.store.metastore_ids()}
+        return sorted((mid for mid, name in names.items() if name is not None),
+                      key=names.__getitem__)
+
+    def _metastore_named(self, name: str) -> Optional[str]:
+        metastore_id = self._ids_by_name.get(name)
+        if metastore_id is None:
+            self.metastore_ids()  # a miss refills the memo from the store
+            metastore_id = self._ids_by_name.get(name)
+        return metastore_id
+
+    def metastore_id(self, name: str) -> str:
+        metastore_id = self._metastore_named(name)
+        if metastore_id is None:
+            raise NotFoundError(f"no such metastore: {name}")
+        return metastore_id
+
+    def _attach(self, metastore_id: str) -> Optional[MetastoreCacheNode]:
+        """Attach a metastore's cache node and fast-path bundle on first
+        touch; returns the node. Attaches nothing with caches off or for
+        a slot without a root row (not yet, or never, a metastore)."""
+        if not (self.enable_cache or self.enable_fast_path):
+            return None
+        with self._lock:
+            if metastore_id in self._nodes or metastore_id in self._hot_caches:
+                return self._nodes.get(metastore_id)
+            name = self._name_of(metastore_id)
+            if name is None:
+                return None
+            node = None
+            if self.enable_cache:
+                policy = (
+                    self._eviction_policy_factory()
+                    if self._eviction_policy_factory
+                    else None
+                )
+                node = MetastoreCacheNode(
+                    self.store,
+                    metastore_id,
+                    self.registry,
+                    clock=self.clock,
+                    reconcile_mode=self._reconcile_mode,
+                    eviction_policy=policy,
+                    max_cached_entities=self._max_cached_entities,
+                )
+                node.warm()
+                self._nodes[metastore_id] = node
+                self._register_node_collector(name, node)
+            if self.enable_fast_path:
+                bundle = HotPathCaches(
+                    metastore_id,
+                    self.store.current_version(metastore_id),
+                    lambda v, mid=metastore_id: self.store.changes_since(mid, v),
+                    lambda: self.directory.generation,
+                )
+                self._hot_caches[metastore_id] = bundle
+                self._register_hot_cache_collector(name, bundle)
+            return node
 
     def cache_node(self, metastore_id: str) -> Optional[MetastoreCacheNode]:
-        return self._nodes.get(metastore_id)
+        node = self._nodes.get(metastore_id)
+        return node if node is not None else self._attach(metastore_id)
 
     def hot_caches(self, metastore_id: str) -> Optional[HotPathCaches]:
         """The fast-path bundle for a metastore (None with fast path off)."""
+        if metastore_id not in self._hot_caches:
+            self._attach(metastore_id)
         return self._hot_caches.get(metastore_id)
 
     def _hot_caches_for(
@@ -411,6 +451,8 @@ class ServiceKernel:
         branch, at_version = self._request_pin()
         if branch is None and at_version is None:
             node = self._nodes.get(metastore_id)
+            if node is None:
+                node = self._attach(metastore_id)
             if node is not None:
                 return node.view(check_version=self._read_version_check)
             return SnapshotView(self.store.snapshot(metastore_id), self.registry)

@@ -16,12 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.core.cache.node import MetastoreCacheNode
-from repro.core.model.registry import AssetTypeRegistry
-from repro.core.persistence.store import MetadataStore
 from repro.errors import InvalidRequestError, NotFoundError
 
 
@@ -109,64 +104,3 @@ class ShardingService:
         for mid in metastore_ids:
             counts[self.owner_of(mid)] += 1
         return counts
-
-
-@dataclass
-class _ServerNode:
-    name: str
-    caches: dict[str, MetastoreCacheNode] = field(default_factory=dict)
-
-
-class ShardedCatalogCluster:
-    """A set of catalog server nodes sharing one backing store.
-
-    Routes each metastore's traffic to its assigned node's cache. Because
-    assignments are best-effort, a routing race can send writes for the
-    same metastore through two nodes — the test suite demonstrates that
-    the version CAS keeps the data correct and both caches converge.
-    """
-
-    def __init__(self, store: MetadataStore, registry: AssetTypeRegistry,
-                 clock=None):
-        self._store = store
-        self._registry = registry
-        self._clock = clock
-        self._sharding = ShardingService()
-        self._servers: dict[str, _ServerNode] = {}
-
-    @property
-    def sharding(self) -> ShardingService:
-        return self._sharding
-
-    def add_server(self, name: str) -> None:
-        self._sharding.add_node(name)
-        self._servers[name] = _ServerNode(name)
-
-    def remove_server(self, name: str) -> None:
-        self._sharding.remove_node(name)
-        self._servers.pop(name, None)
-
-    def cache_for(self, metastore_id: str,
-                  node_name: Optional[str] = None) -> MetastoreCacheNode:
-        """The cache node serving a metastore — normally on its assigned
-        server; pass ``node_name`` to simulate a stale router."""
-        name = node_name or self._sharding.owner_of(metastore_id)
-        server = self._servers.get(name)
-        if server is None:
-            raise NotFoundError(f"no such server: {name}")
-        cache = server.caches.get(metastore_id)
-        if cache is None:
-            cache = MetastoreCacheNode(
-                self._store, metastore_id, self._registry, clock=self._clock
-            )
-            cache.warm()
-            server.caches[metastore_id] = cache
-        return cache
-
-    def owners_holding(self, metastore_id: str) -> list[str]:
-        """Servers that currently have a cache for the metastore (dual
-        ownership shows up as more than one entry)."""
-        return sorted(
-            name for name, server in self._servers.items()
-            if metastore_id in server.caches
-        )

@@ -280,24 +280,19 @@ class CircuitBreaker:
         clock: Clock,
         failure_threshold: int = 5,
         reset_timeout: float = 30.0,
-        half_open_probes: int = 1,
         metrics=None,
         name: str = "default",
         failure_types: tuple[type[BaseException], ...] = (Exception,),
-        half_open_max_probes: Optional[int] = None,
+        half_open_max_probes: int = 1,
     ):
         if failure_threshold < 1:
             raise InvalidRequestError("failure_threshold must be >= 1")
-        if half_open_max_probes is not None and half_open_max_probes < 1:
+        if half_open_max_probes < 1:
             raise InvalidRequestError("half_open_max_probes must be >= 1")
         self._clock = clock
         self._threshold = failure_threshold
         self._reset_timeout = reset_timeout
-        # `half_open_max_probes` is the explicit knob; `half_open_probes`
-        # is the legacy positional name kept for existing callers.
-        self._half_open_probes = (
-            half_open_max_probes if half_open_max_probes is not None else half_open_probes
-        )
+        self._half_open_probes = half_open_max_probes
         self._failure_types = failure_types
         self.name = name
         #: one breaker fronts each shard; admissions and outcome

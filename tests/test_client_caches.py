@@ -88,7 +88,6 @@ class TestRinkCredentialCache:
             object_store=first.object_store, directory=first.directory,
             rink_cache=rink,
         )
-        second._metastore_names = dict(first._metastore_names)
         minted_before = second.vendor.stats.minted
         token_2 = second.vend_credentials(mid, "alice", SecurableKind.TABLE,
                                           "c.s.t", AccessLevel.READ)
@@ -109,7 +108,6 @@ class TestRinkCredentialCache:
             store=first.store, clock=clock, sts=first.sts,
             object_store=first.object_store, directory=first.directory,
         )
-        second._metastore_names = dict(first._metastore_names)
         token_2 = second.vend_credentials(mid, "alice", SecurableKind.TABLE,
                                           "c.s.t", AccessLevel.READ)
         assert token_2.token != token_1.token

@@ -344,8 +344,10 @@ def test_move_subtree_delete_failure_rolls_back_import():
 
 
 def test_metastore_creation_event_reaches_cluster_bus():
+    """The cluster keeps no copy of its shards' events: the metastore's
+    creation is read from the home shard's own bus."""
     cluster, mid, _ = build_cluster()
-    events = cluster.events.peek(mid)
+    events = cluster.home.service.events.peek(mid)
     assert any(e.change is ChangeType.CREATED
                and e.securable_kind == SecurableKind.METASTORE.value
                and e.securable_id == mid

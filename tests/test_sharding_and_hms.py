@@ -1,19 +1,24 @@
-"""Sharding service, sharded cluster behaviour, and the HMS simulator."""
+"""Sharding service, catalog nodes over one shared store, and the HMS
+simulator."""
+
+import random
 
 import pytest
 
 from repro.clock import SimClock
-from repro.core.assets.builtin import builtin_registry
-from repro.core.model.entity import Entity, SecurableKind, new_entity_id
+from repro.core.auth.principals import PrincipalDirectory
+from repro.core.auth.privileges import Privilege
+from repro.core.model.entity import SecurableKind
 from repro.core.persistence.memory import InMemoryMetadataStore
-from repro.core.persistence.store import Tables, WriteOp
-from repro.core.sharding import ShardedCatalogCluster, ShardingService
+from repro.core.persistence.sqlite import SqliteMetadataStore
+from repro.core.service.catalog_service import UnityCatalogService
+from repro.core.sharding import ShardingService
 from repro.hms.metastore import HiveMetastore, HiveTable, StorageDescriptor
 from repro.errors import (
     AlreadyExistsError,
-    ConcurrentModificationError,
     InvalidRequestError,
     NotFoundError,
+    PermissionDeniedError,
 )
 
 
@@ -61,54 +66,176 @@ class TestShardingService:
         assert max(load.values()) < 3 * min(load.values())
 
 
-class TestShardedCluster:
-    @pytest.fixture
-    def cluster(self):
+def _peer(store, directory, **kwargs):
+    """One catalog service process over a store shared with its peers.
+    The principal directory is injected: it is per-process state."""
+    return UnityCatalogService(store=store, directory=directory,
+                               clock=SimClock(), **kwargs)
+
+
+@pytest.fixture(params=["memory", "sqlite"])
+def open_store(request, tmp_path):
+    """Opens the one shared store again: the same memory store object,
+    or a new connection to the same SQLite file."""
+    if request.param == "memory":
         store = InMemoryMetadataStore()
-        store.create_metastore_slot("m1")
-        cluster = ShardedCatalogCluster(store, builtin_registry(),
-                                        clock=SimClock())
-        cluster.add_server("server-a")
-        cluster.add_server("server-b")
-        cluster._store_for_tests = store
-        return cluster
+        yield lambda: store
+        return
+    opened = []
 
-    def _row(self, name):
-        entity = Entity(
-            id=new_entity_id(), kind=SecurableKind.CATALOG, name=name,
-            metastore_id="m1", parent_id="m1", owner="alice",
-            created_at=0.0, updated_at=0.0,
-        )
-        return entity.to_dict()
+    def open_sqlite():
+        opened.append(SqliteMetadataStore(str(tmp_path / "catalog.db")))
+        return opened[-1]
 
-    def test_traffic_routes_to_assigned_node(self, cluster):
-        cache = cluster.cache_for("m1")
-        assert cluster.owners_holding("m1") == [cluster.sharding.owner_of("m1")]
-        assert cache is cluster.cache_for("m1")  # stable instance
+    yield open_sqlite
+    for store in opened:
+        store.close()
 
-    def test_stale_router_dual_ownership_stays_consistent(self, cluster):
-        """A stale router sends writes to the wrong server; the version CAS
-        serializes them and both caches converge (section 4.5)."""
-        owner = cluster.sharding.owner_of("m1")
-        other = "server-a" if owner == "server-b" else "server-b"
-        cache_owner = cluster.cache_for("m1")
-        cache_other = cluster.cache_for("m1", node_name=other)
-        assert len(cluster.owners_holding("m1")) == 2  # dual ownership
 
-        row1 = self._row("c1")
-        cache_owner.commit([WriteOp.put(Tables.ENTITIES, row1["id"], row1)])
-        row2 = self._row("c2")
-        with pytest.raises(ConcurrentModificationError):
-            cache_other.commit([WriteOp.put(Tables.ENTITIES, row2["id"], row2)])
-        cache_other.commit([WriteOp.put(Tables.ENTITIES, row2["id"], row2)])
-        for cache in (cache_owner, cache_other):
-            view = cache.view()
-            assert view.entity_by_id(row1["id"]) is not None
-            assert view.entity_by_id(row2["id"]) is not None
+@pytest.fixture
+def directory():
+    directory = PrincipalDirectory()
+    directory.add_user("admin")
+    directory.add_user("reader")
+    return directory
 
-    def test_unknown_server_raises(self, cluster):
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except (NotFoundError, AlreadyExistsError, PermissionDeniedError) as exc:
+        return "error", type(exc).__name__
+
+
+def _resolution(service, mid, tables):
+    res = service.resolve_for_query(mid, "reader", tables,
+                                    include_credentials=False)
+    return res.metastore_version, {
+        name: (asset.entity, asset.columns, asset.storage_url)
+        for name, asset in res.assets.items()
+    }
+
+
+def _observe(service, mid):
+    """What the reader sees: every table by name, the schema listing, and
+    a batched resolution of the first two tables."""
+    return (
+        [_outcome(lambda i=i: service.get_securable(
+            mid, "reader", SecurableKind.TABLE, f"c.s.t{i}"))
+         for i in range(6)],
+        _outcome(lambda: sorted(e.name for e in service.list_securables(
+            mid, "reader", SecurableKind.TABLE, "c.s"))),
+        _outcome(lambda: _resolution(service, mid, ["c.s.t0", "c.s.t1"])),
+    )
+
+
+def _script_step(service, mid, rng):
+    """One random write: create a table, or rename, grant, revoke or drop
+    one that exists."""
+    kind = SecurableKind.TABLE
+    live = sorted(e.name for e in service.list_securables(
+        mid, "admin", kind, "c.s"))
+    op = rng.choice(("create", "rename", "grant", "revoke", "drop")
+                    if live else ("create",))
+    name = rng.choice(live) if op != "create" else f"t{rng.randrange(6)}"
+    table = f"c.s.{name}"
+    calls = {
+        "create": lambda: service.create_securable(
+            mid, "admin", kind, table, spec={"table_type": "MANAGED"}),
+        "rename": lambda: service.rename_securable(
+            mid, "admin", kind, table, f"t{rng.randrange(6)}"),
+        "grant": lambda: service.grant(
+            mid, "admin", kind, table, "reader", Privilege.SELECT),
+        "revoke": lambda: service.revoke(
+            mid, "admin", kind, table, "reader", Privilege.SELECT),
+        "drop": lambda: service.delete_securable(mid, "admin", kind, table),
+    }
+    _outcome(calls[op])
+
+
+def _seed_estate(service, mid):
+    service.create_securable(mid, "admin", SecurableKind.CATALOG, "c")
+    service.create_securable(mid, "admin", SecurableKind.SCHEMA, "c.s")
+    service.grant(mid, "admin", SecurableKind.CATALOG, "c", "reader",
+                  Privilege.USE_CATALOG)
+    service.grant(mid, "admin", SecurableKind.SCHEMA, "c.s", "reader",
+                  Privilege.USE_SCHEMA)
+
+
+class TestNodesOverOneStore:
+    """Catalog services are caches over one shared store (sections 4.5
+    and 5): which metastores exist is read from the store, so a restarted
+    service and a peer serve every metastore in it, each through its own
+    cache node."""
+
+    def test_reopened_service_serves_the_metastores_in_its_store(
+            self, open_store, directory):
+        first = _peer(open_store(), directory)
+        zeta = first.create_metastore("zeta", owner="admin").id
+        alpha = first.create_metastore("alpha", owner="admin").id
+        first.create_securable(alpha, "admin", SecurableKind.CATALOG, "c")
+        assert first.metastore_ids() == [alpha, zeta]  # name order
+
+        second = _peer(open_store(), directory)
+        assert second.metastore_ids() == [alpha, zeta]
+        assert second.metastore_id("alpha") == alpha
         with pytest.raises(NotFoundError):
-            cluster.cache_for("m1", node_name="ghost")
+            second.metastore_id("beta")
+        with pytest.raises(AlreadyExistsError):
+            second.create_metastore("alpha", owner="admin")
+        assert second.metastore_ids() == [alpha, zeta]
+
+        second.get_securable(alpha, "admin", SecurableKind.CATALOG, "c")
+        node = second.cache_node(alpha)
+        assert node is not None  # the first read attached a node
+        assert node.stats.hits > 0 and node.stats.misses == 0
+        reads = node.stats.version_checks
+        second.get_securable(alpha, "admin", SecurableKind.CATALOG, "c")
+        assert node.stats.version_checks == reads + 1
+        assert second.cache_node(alpha) is node
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_two_cached_nodes_agree_with_an_uncached_one(
+            self, open_store, directory, seed):
+        """A seeded script alternates writes between two cache-on nodes;
+        after every step both answer exactly as a cache-off node does."""
+        a = _peer(open_store(), directory)
+        mid = a.create_metastore("m", owner="admin").id
+        _seed_estate(a, mid)
+        b = _peer(open_store(), directory)
+        uncached = _peer(open_store(), directory, enable_cache=False)
+        assert b.metastore_id("m") == mid
+        rng = random.Random(seed)
+        for step in range(30):
+            _script_step(a if step % 2 == 0 else b, mid, rng)
+            expected = _observe(uncached, mid)
+            assert _observe(a, mid) == expected, step
+            assert _observe(b, mid) == expected, step
+        for service in (a, b):
+            node = service.cache_node(mid)
+            assert node is not None and node.stats.hits > 0
+        assert uncached.cache_node(mid) is None
+
+    def test_stale_router_dual_ownership_stays_consistent(
+            self, open_store, directory):
+        """B believes it owns the metastore and skips the per-read version
+        probe. A's writes make B's node stale; B's next write fails the
+        version CAS, reconciles, retries and converges (section 4.5)."""
+        a = _peer(open_store(), directory)
+        mid = a.create_metastore("m", owner="admin").id
+        _seed_estate(a, mid)
+        b = _peer(open_store(), directory, read_version_check=False)
+        uncached = _peer(open_store(), directory, enable_cache=False)
+        assert b.metastore_id("m") == mid
+        rng = random.Random(5)
+        for step in range(12):
+            _script_step(a, mid, rng)
+            b.update_securable(mid, "admin", SecurableKind.CATALOG, "c",
+                               comment=f"step {step}")
+            assert _observe(b, mid) == _observe(uncached, mid), step
+        conflicts = b.obs.metrics.get("uc_store_commit_conflicts_total")
+        assert conflicts.value >= 1
+        assert b.cache_node(mid).stats.commit_conflicts >= 1
 
 
 class TestHiveMetastore:

@@ -435,7 +435,7 @@ VERSION_GATED_PACKAGES = (
 #: stores or the trunk head *by design* — extending this list is a
 #: review decision, not a convenience.
 RAW_VERSION_ALLOWLIST: dict[str, str] = {
-    "repro.core.service.kernel:ServiceKernel._install_metastore":
+    "repro.core.service.kernel:ServiceKernel._attach":
         "seeds the trunk cache bundle at install time; no request exists",
     "repro.core.service.kernel:ServiceKernel.raw_snapshot":
         "IS the branch gate: applies the request pin before reading",
