@@ -29,6 +29,7 @@ from repro.clock import Clock, WallClock
 from repro.cloudstore.object_store import StoragePath
 from repro.core.auth.privileges import PrivilegeGrant
 from repro.core.cache.eviction import EvictionPolicy, LruPolicy
+from repro.core.frozen import freeze
 from repro.core.model.entity import Entity, SecurableKind
 from repro.core.model.registry import AssetTypeRegistry
 from repro.core.paths import PATH_GOVERNED_KINDS, PathTrie
@@ -276,6 +277,9 @@ class MetastoreCacheNode:
     def _apply(
         self, table: str, key: str, value: Optional[dict], version: int, now: float
     ) -> None:
+        # every view shares the cached row: a store row or a written one
+        # is frozen already (no cost), a freshly decoded one is frozen here
+        value = freeze(value)
         if table not in self._rows:
             self._rows[table] = {}
             self._complete[table] = False
@@ -378,7 +382,7 @@ class MetastoreCacheNode:
             # read-through on miss
             self.stats.misses += 1
             snapshot = self._store.snapshot(self.metastore_id, at_version=self.known_version)
-            value = snapshot.get(table, key)
+            value = freeze(snapshot.get(table, key))
             if value is not None:
                 self._apply(table, key, value, self.known_version, self._clock.now())
             return value

@@ -323,7 +323,7 @@ class CatalogMove:
                 raise AlreadyExistsError(f"catalog already exists: {new_name}")
             renamed = entity.with_updates(updated_at=svc.clock.now(),
                                           name=new_name)
-            ops = [WriteOp.put(Tables.ENTITIES, entity.id, renamed.to_dict())]
+            ops = [WriteOp.put(Tables.ENTITIES, entity.id, renamed.to_row())]
             events = [(ChangeType.UPDATED, entity.id,
                        SecurableKind.CATALOG.value, new_name,
                        {"renamed_from": name})]

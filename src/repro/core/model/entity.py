@@ -14,6 +14,11 @@ import uuid
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
+from repro.core.frozen import FrozenRow, freeze, memoized, thaw
+
+#: the spec/properties of a frozen row that has none
+_NO_MAP = FrozenRow()
+
 
 class SecurableKind(enum.Enum):
     """Every kind of securable the catalog manages.
@@ -78,7 +83,9 @@ class Entity:
     """One securable. Immutable: updates produce new instances.
 
     Immutability is what makes the multi-version cache safe — a cached
-    ``Entity`` can be handed to concurrent readers without copying.
+    ``Entity`` can be handed to concurrent readers without copying. One
+    decoded from a frozen row is built once per row version and shares
+    that row's (frozen) ``spec`` and ``properties``.
     """
 
     id: str
@@ -107,8 +114,7 @@ class Entity:
     def is_active(self) -> bool:
         return self.state is EntityState.ACTIVE
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly rendering used by the REST layer and persistence."""
+    def _fields(self, properties: dict[str, Any], spec: dict[str, Any]) -> dict[str, Any]:
         return {
             "id": self.id,
             "kind": self.kind.value,
@@ -121,13 +127,48 @@ class Entity:
             "state": self.state.value,
             "comment": self.comment,
             "storage_path": self.storage_path,
-            "properties": dict(self.properties),
-            "spec": dict(self.spec),
+            "properties": properties,
+            "spec": spec,
             "deleted_at": self.deleted_at,
         }
 
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-friendly rendering used by the REST layer: plain dicts and
+        lists, the JSON encoder's fast path. The top level, ``spec`` and
+        ``properties`` are fresh dicts; the values inside ``spec`` come
+        from :attr:`plain_spec` and are shared (read-only)."""
+        return self._fields(dict(self.properties), dict(self.plain_spec))
+
+    def to_row(self) -> FrozenRow:
+        """The stored row of this entity (what ``WriteOp.put`` takes): a
+        frozen ``spec`` or ``properties`` is shared, not copied."""
+        return freeze(self._fields(self.properties, self.spec))
+
+    @property
+    def plain_spec(self) -> dict[str, Any]:
+        """``spec`` as plain dicts and lists, for rendering: the JSON
+        encoder takes a slower path for every dict or list subclass. A
+        frozen spec is thawed once and the copy kept in its memo, so each
+        spec object (shared by the versions that did not change it) is
+        copied on its first rendering only. Shared: read-only."""
+        spec = self.spec
+        return memoized(spec, thaw) if type(spec) is FrozenRow else spec
+
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Entity":
+        """Decode a row. A :class:`~repro.core.frozen.FrozenRow` is decoded
+        once: the ``Entity`` is kept in the row's memo and every later
+        call returns it. A plain dict decodes afresh each time, into
+        copies of its ``spec`` and ``properties``."""
+        if type(data) is FrozenRow:
+            return memoized(data, _decode_frozen)
+        return cls._decode(data, dict(data.get("properties", {})),
+                           dict(data.get("spec", {})))
+
+    @classmethod
+    def _decode(
+        cls, data: dict[str, Any], properties: dict[str, Any], spec: dict[str, Any]
+    ) -> "Entity":
         return cls(
             id=data["id"],
             kind=SecurableKind(data["kind"]),
@@ -140,7 +181,14 @@ class Entity:
             state=EntityState(data.get("state", "ACTIVE")),
             comment=data.get("comment", ""),
             storage_path=data.get("storage_path"),
-            properties=dict(data.get("properties", {})),
-            spec=dict(data.get("spec", {})),
+            properties=properties,
+            spec=spec,
             deleted_at=data.get("deleted_at"),
         )
+
+
+def _decode_frozen(row: FrozenRow) -> Entity:
+    # a frozen row's own spec and properties are shared, not copied
+    return Entity._decode(
+        row, row.get("properties", _NO_MAP), row.get("spec", _NO_MAP)
+    )

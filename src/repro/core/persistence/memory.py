@@ -16,17 +16,21 @@ ops. So a prefix, range or count read is a bisect plus a short walk,
 charged for the keys it touches, and name resolution, listing and
 subtree walks are range reads over the index, independent of metastore
 size. A full ``scan`` walks key order.
+
+Rows are frozen (:mod:`repro.core.frozen`) and shared: the store keeps
+the object the writer's ``WriteOp`` carries, and every read returns that
+stored row itself, never a copy.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
 
+from repro.core.frozen import freeze
 from repro.core.persistence.store import (
     TREE_INDEX,
     ChangeRecord,
@@ -135,8 +139,7 @@ class _MemorySnapshot(Snapshot):
             versions = self._slot.tables.get(table, _NO_ROWS).get(key)
             if not versions:
                 return None
-            value = _visible(versions, self.version)
-            return copy.deepcopy(value) if value is not None else None
+            return _visible(versions, self.version)
 
     def multi_get(self, table: str, keys: list[str]) -> dict[str, dict[str, Any]]:
         out: dict[str, dict[str, Any]] = {}
@@ -148,18 +151,18 @@ class _MemorySnapshot(Snapshot):
                     continue
                 value = _visible(versions, self.version)
                 if value is not None:
-                    out[key] = copy.deepcopy(value)
+                    out[key] = value
         self._store.multi_get_count += 1
         return out
 
     def _live(self, rows: _Table, keys: Iterable[str]) -> list[tuple[str, dict]]:
-        """Copies of the rows of ``keys`` visible at this snapshot
-        (call under the slot lock)."""
+        """The rows of ``keys`` visible at this snapshot (call under the
+        slot lock)."""
         out = []
         for key in keys:
             value = _visible(rows[key], self.version)
             if value is not None:
-                out.append((key, copy.deepcopy(value)))
+                out.append((key, value))
         return out
 
     def scan(self, table: str) -> Iterator[tuple[str, dict[str, Any]]]:
@@ -181,7 +184,7 @@ class _MemorySnapshot(Snapshot):
         return iter(out)
 
     def count(self, table: str, prefix: str = "") -> int:
-        # no row copies, but the same keys (and charge) as scan_prefix
+        # no row list, but the same keys (and charge) as scan_prefix
         with self._slot.lock:
             rows = self._slot.read_table(table)
             keys = rows.range_keys(prefix, prefix_end(prefix))
@@ -260,8 +263,7 @@ class InMemoryMetadataStore(MetadataStore):
 
             index = tree_index_rows(ops, previous)
             for op in ops:
-                value = copy.deepcopy(op.value) if op.value is not None else None
-                slot.table(op.table).append(op.key, new_version, value)
+                slot.table(op.table).append(op.key, new_version, freeze(op.value))
                 slot.changelog.append(
                     ChangeRecord(
                         version=new_version,

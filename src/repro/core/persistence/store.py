@@ -6,6 +6,7 @@ import abc
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
+from repro.core.frozen import FrozenRow, freeze
 from repro.errors import NotFoundError
 
 
@@ -31,7 +32,12 @@ class Tables:
 
 @dataclass(frozen=True)
 class WriteOp:
-    """One mutation inside a serializable commit. ``value=None`` deletes."""
+    """One mutation inside a serializable commit. ``value=None`` deletes.
+
+    :meth:`put` freezes its value (:func:`~repro.core.frozen.freeze`), so
+    the row a writer builds is the one object the store, the cache node
+    and the replica log all hold from then on.
+    """
 
     table: str
     key: str
@@ -39,7 +45,7 @@ class WriteOp:
 
     @classmethod
     def put(cls, table: str, key: str, value: dict[str, Any]) -> "WriteOp":
-        return cls(table=table, key=key, value=value)
+        return cls(table=table, key=key, value=freeze(value))
 
     @classmethod
     def delete(cls, table: str, key: str) -> "WriteOp":
@@ -103,9 +109,9 @@ def index_row(value: Optional[dict[str, Any]]) -> Optional[tuple[str, dict]]:
     if value is None or not {"id", "kind", "name"} <= value.keys():
         return None
     key = index_prefix(value.get("parent_id"), value["kind"], value["name"])
-    return key + value["id"], {
-        "id": value["id"], "state": value.get("state", "ACTIVE"),
-    }
+    return key + value["id"], FrozenRow(
+        id=value["id"], state=value.get("state", "ACTIVE"),
+    )
 
 
 def tree_index_rows(

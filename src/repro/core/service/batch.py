@@ -203,7 +203,7 @@ class QueryResolver:
                     entity=entity,
                     table_type=table_type,
                     format=entity.spec.get("format"),
-                    columns=list(entity.spec.get("columns") or ()),
+                    columns=list(entity.plain_spec.get("columns") or ()),
                     storage_url=entity.storage_path,
                     credential=credential,
                     fgac=fgac,

@@ -91,7 +91,7 @@ def create_metastore(svc, ctx) -> Entity:
         )
         new_version = svc.store.commit(
             metastore_id, 0,
-            [WriteOp.put(Tables.ENTITIES, metastore_id, entity.to_dict())],
+            [WriteOp.put(Tables.ENTITIES, metastore_id, entity.to_row())],
         )
         # memoise the committed name: the first touch then attaches the
         # caches without a root-row read that requests would be charged
@@ -114,6 +114,16 @@ def list_metastores(svc, ctx) -> list[str]:
 # ----------------------------------------------------------------------
 
 
+def _refuse_metastore(kind: SecurableKind) -> None:
+    """A metastore is made only by ``create_metastore``, and its root row
+    is never renamed or deleted: every service over the store finds a
+    metastore by that row's name (``MetadataStore.metastore_name``) and
+    memoises it, so a changed root row would leave the services over one
+    store disagreeing on which metastores exist."""
+    if kind is SecurableKind.METASTORE:
+        raise InvalidRequestError("use create_metastore")
+
+
 def create_securable(svc, ctx) -> Entity:
     """Create any securable; behaviour is driven by its manifest."""
     p = ctx.params
@@ -122,8 +132,7 @@ def create_securable(svc, ctx) -> Entity:
     comment = p.get("comment") or ""
     storage_path = p.get("storage_path")
     spec, properties = p.get("spec"), p.get("properties")
-    if kind is SecurableKind.METASTORE:
-        raise InvalidRequestError("use create_metastore")
+    _refuse_metastore(kind)
     manifest = svc.registry.get(kind)
 
     def build(view: MetastoreView):
@@ -189,7 +198,7 @@ def create_securable(svc, ctx) -> Entity:
             properties=dict(properties or {}),
             spec=normalized,
         )
-        ops = [WriteOp.put(Tables.ENTITIES, entity_id, entity.to_dict())]
+        ops = [WriteOp.put(Tables.ENTITIES, entity_id, entity.to_row())]
         events = [
             (ChangeType.CREATED, entity_id, kind.value, name, {"owner": principal})
         ]
@@ -383,7 +392,7 @@ def update_securable(svc, ctx) -> Entity:
         if not changes:
             return [], entity, []
         updated = entity.with_updates(updated_at=svc.clock.now(), **changes)
-        ops = [WriteOp.put(Tables.ENTITIES, entity.id, updated.to_dict())]
+        ops = [WriteOp.put(Tables.ENTITIES, entity.id, updated.to_row())]
         events = [(ChangeType.UPDATED, entity.id, kind.value, name, {})]
         return ops, updated, events
 
@@ -400,6 +409,7 @@ def rename_securable(svc, ctx) -> Entity:
     p = ctx.params
     metastore_id, principal = p["metastore_id"], p["principal"]
     kind, name, new_name = p["kind"], p["name"], p["new_name"]
+    _refuse_metastore(kind)
     validate_identifier(new_name, what="new name")
     manifest = svc.registry.get(kind)
 
@@ -413,7 +423,7 @@ def rename_securable(svc, ctx) -> Entity:
             )
         renamed = entity.with_updates(updated_at=svc.clock.now(),
                                       name=new_name)
-        ops = [WriteOp.put(Tables.ENTITIES, entity.id, renamed.to_dict())]
+        ops = [WriteOp.put(Tables.ENTITIES, entity.id, renamed.to_row())]
         events = [(ChangeType.UPDATED, entity.id, kind.value, new_name,
                    {"renamed_from": name})]
         return ops, renamed, events
@@ -433,7 +443,7 @@ def transfer_ownership(svc, ctx) -> Entity:
             view, metastore_id, principal, entity, "transfer_ownership", name
         )
         updated = entity.with_updates(updated_at=svc.clock.now(), owner=new_owner)
-        ops = [WriteOp.put(Tables.ENTITIES, entity.id, updated.to_dict())]
+        ops = [WriteOp.put(Tables.ENTITIES, entity.id, updated.to_row())]
         events = [
             (ChangeType.UPDATED, entity.id, kind.value, name,
              {"new_owner": new_owner})
@@ -453,6 +463,7 @@ def delete_securable(svc, ctx) -> list[Entity]:
     metastore_id, principal = p["metastore_id"], p["principal"]
     kind, name = p["kind"], p["name"]
     cascade = bool(p.get("cascade", False))
+    _refuse_metastore(kind)
 
     def build(view: MetastoreView):
         entity = svc._resolve(view, metastore_id, kind, name)
@@ -470,7 +481,7 @@ def delete_securable(svc, ctx) -> list[Entity]:
         for victim in doomed:
             marked = victim.soft_deleted(now)
             deleted_entities.append(marked)
-            ops.append(WriteOp.put(Tables.ENTITIES, victim.id, marked.to_dict()))
+            ops.append(WriteOp.put(Tables.ENTITIES, victim.id, marked.to_row()))
             events.append(
                 (ChangeType.DELETED, victim.id, victim.kind.value,
                  view.full_name(victim), {})
@@ -678,6 +689,15 @@ def _bind_delete(r: RestRequest) -> dict[str, Any]:
     return args
 
 
+def _bind_metastore_rename(r: RestRequest) -> dict[str, Any]:
+    # /metastores/<name>: reaches the handler, which refuses (and audits)
+    return {**_bind_rename(r), "kind": SecurableKind.METASTORE}
+
+
+def _bind_metastore_delete(r: RestRequest) -> dict[str, Any]:
+    return {**_bind_delete(r), "kind": SecurableKind.METASTORE}
+
+
 def _bind_purge(r: RestRequest) -> dict[str, Any]:
     return {
         "metastore_id": r.metastore_id(),
@@ -764,6 +784,9 @@ ENDPOINTS = (
             RestBinding("PATCH", KIND_RESOURCES, _bind_rename, named=True,
                         when=lambda r: "new_name" in r.body,
                         render=lambda result, kwargs: result.to_dict()),
+            RestBinding("PATCH", "metastores", _bind_metastore_rename,
+                        named=True, when=lambda r: "new_name" in r.body,
+                        render=lambda result, kwargs: result.to_dict()),
         ),
         doc="Rename a securable within its parent.",
     ),
@@ -802,6 +825,9 @@ ENDPOINTS = (
         cluster=ClusterBinding(plan=_write_plan),
         rest=(
             RestBinding("DELETE", KIND_RESOURCES, _bind_delete, named=True,
+                        render=lambda result, kwargs: {"deleted": len(result)}),
+            RestBinding("DELETE", "metastores", _bind_metastore_delete,
+                        named=True,
                         render=lambda result, kwargs: {"deleted": len(result)}),
         ),
         doc="Soft-delete a securable (cascade optional).",

@@ -201,3 +201,35 @@ def test_raw_store_read_outside_allowlist_is_flagged():
     finally:
         arch_lint.RAW_VERSION_ALLOWLIST[
             "repro.core.cluster.rebalance:export_subtree"] = removed
+
+
+# -- rule 6: shared rows are not deep-copied --------------------------------
+
+def test_row_copy_sites_sees_every_spelling():
+    tree = ast.parse(
+        "import copy\n"
+        "from copy import deepcopy\n"
+        "import copy as c\n"
+        "x = copy.deepcopy(row)\n"
+        "y = deepcopy(row)\n"
+        "z = dict(row)\n"
+    )
+    assert [line for line, _ in arch_lint.row_copy_sites(tree)] == [1, 2, 3, 4, 5]
+
+
+def test_planted_deepcopy_in_a_store_is_flagged(tmp_path, monkeypatch):
+    monkeypatch.setattr(arch_lint, "REPO", tmp_path)
+    core = tmp_path / "src" / "repro" / "core"
+    (core / "persistence").mkdir(parents=True)
+    (core / "persistence" / "engine.py").write_text(
+        "import copy\n\n"
+        "def get(rows, key):\n"
+        "    return copy.deepcopy(rows[key])\n"
+    )
+    (core / "view.py").write_text("def row(rows, key):\n    return rows[key]\n")
+    errors = arch_lint.check_no_row_copies(core)
+    assert [e.split(": ")[0] for e in errors] == [
+        "src/repro/core/persistence/engine.py:1",
+        "src/repro/core/persistence/engine.py:4",
+    ]
+    assert all("dict(row)" in e for e in errors)

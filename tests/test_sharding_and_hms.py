@@ -12,6 +12,7 @@ from repro.core.model.entity import SecurableKind
 from repro.core.persistence.memory import InMemoryMetadataStore
 from repro.core.persistence.sqlite import SqliteMetadataStore
 from repro.core.service.catalog_service import UnityCatalogService
+from repro.core.service.rest import RestApi
 from repro.core.sharding import ShardingService
 from repro.hms.metastore import HiveMetastore, HiveTable, StorageDescriptor
 from repro.errors import (
@@ -236,6 +237,59 @@ class TestNodesOverOneStore:
         conflicts = b.obs.metrics.get("uc_store_commit_conflicts_total")
         assert conflicts.value >= 1
         assert b.cache_node(mid).stats.commit_conflicts >= 1
+
+
+    def test_a_metastore_is_never_renamed_or_deleted(
+            self, open_store, directory):
+        """``rename_securable`` and ``delete_securable`` refuse the
+        METASTORE kind through the facade and through REST, audit the
+        refusal, and leave every service over the store agreeing on
+        which metastores exist."""
+        first = _peer(open_store(), directory)
+        mid = first.create_metastore("m1", owner="admin").id
+        second = _peer(open_store(), directory)
+        assert second.metastore_id("m1") == mid
+        metastore = SecurableKind.METASTORE
+
+        def refused_and_audited(action, call):
+            before = len(first.audit)
+            with pytest.raises(InvalidRequestError, match="create_metastore"):
+                call()
+            [record] = list(first.audit)[before:]
+            assert (record.action, record.allowed) == (action, False)
+            assert record.details["error"] == "INVALID_PARAMETER_VALUE"
+
+        refused_and_audited("rename_securable", lambda: first.rename_securable(
+            mid, "admin", metastore, "m1", "m2"))
+        refused_and_audited("delete_securable", lambda: first.delete_securable(
+            mid, "admin", metastore, "m1", cascade=True))
+
+        api = RestApi(first)
+        path = "/api/2.1/unity-catalog/metastores/m1"
+        for method, body, action in (
+            ("PATCH", {"new_name": "m2"}, "rename_securable"),
+            ("DELETE", None, "delete_securable"),
+        ):
+            before = len(first.audit)
+            status, reply = api.handle(method, path, principal="admin",
+                                       params={"metastore": "m1"}, body=body)
+            assert (status, reply["message"]) == (400, "use create_metastore")
+            [record] = list(first.audit)[before:]
+            assert (record.action, record.allowed) == (action, False)
+
+        fresh = _peer(open_store(), directory)
+        for service in (first, second, fresh):
+            assert service.metastore_ids() == [mid]
+            assert service.metastore_id("m1") == mid
+            with pytest.raises(NotFoundError):
+                service.metastore_id("m2")
+            with pytest.raises(AlreadyExistsError):
+                service.create_metastore("m1", owner="admin")
+        m2 = first.create_metastore("m2", owner="admin").id
+        with pytest.raises(AlreadyExistsError):
+            second.create_metastore("m2", owner="admin")
+        for service in (first, second, fresh):
+            assert service.metastore_ids() == [mid, m2]
 
 
 class TestHiveMetastore:

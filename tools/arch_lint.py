@@ -44,6 +44,14 @@ The branching refactor added a version-resolution rule:
    explicit allowlist below — they move raw stores, overlay rows
    included, by design.
 
+The frozen-row change added a row-ownership rule:
+
+6. **A stored row is shared, never deep-copied.** Every row the store,
+   the cache node and the views hand out is frozen
+   (:mod:`repro.core.frozen`) and shared by every reader, so no module
+   under ``repro.core`` imports :mod:`copy` or calls ``deepcopy``: a
+   writer that changes a row copies it with ``dict(row)``.
+
 Run from the repository root::
 
     python tools/arch_lint.py
@@ -515,6 +523,42 @@ def check_branch_version_gates() -> list[str]:
     return errors
 
 
+# -- rule 6: shared rows are not deep-copied --------------------------------
+
+#: where rows flow: the stores, the cache node, the views and every layer
+#: above them that reads a row
+ROW_SHARING_ROOT = REPO / "src" / "repro" / "core"
+
+
+def row_copy_sites(tree: ast.Module) -> list[tuple[int, str]]:
+    """(lineno, what) for each ``import copy`` / ``from copy import`` and
+    each ``deepcopy`` reference in ``tree``."""
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}") for alias in node.names
+                      if alias.name.split(".")[0] == "copy"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "copy":
+            found.append((node.lineno, "from copy import"))
+        elif isinstance(node, ast.Attribute) and node.attr == "deepcopy":
+            found.append((node.lineno, "deepcopy"))
+        elif isinstance(node, ast.Name) and node.id == "deepcopy":
+            found.append((node.lineno, "deepcopy"))
+    return found
+
+
+def check_no_row_copies(root: Path = ROW_SHARING_ROOT) -> list[str]:
+    """Rule 6: no module under ``root`` deep-copies (or imports copy)."""
+    errors = []
+    for path in sorted(root.rglob("*.py")):
+        for lineno, what in row_copy_sites(_parse(path)):
+            errors.append(
+                f"{path.relative_to(REPO)}:{lineno}: {what} — stored rows "
+                "are frozen and shared; a writer copies one with dict(row)"
+            )
+    return errors
+
+
 def run() -> list[str]:
     errors = []
     errors += check_domain_isolation()
@@ -522,6 +566,7 @@ def run() -> list[str]:
     errors += check_rest_stays_generic()
     errors += check_concurrency_guards()
     errors += check_branch_version_gates()
+    errors += check_no_row_copies()
     return errors
 
 
