@@ -20,14 +20,21 @@ by tests and the real HTTP server in
 Authentication is the upstream gateway's job (paper section 3.4); the
 caller principal arrives as a header. A ``timeout`` query parameter
 (relative seconds) arms the pipeline's request deadline; a request that
-exhausts it maps to HTTP 504.
+exhausts it maps to HTTP 504. A malformed ``timeout`` or ``at_version``
+is a 400, like any other bad input.
+
+Every refusal leaves one audit record: the pipeline audits what it
+refuses, and the router audits what it refuses before a pipeline runs
+(an unknown route or metastore, an unsupported method, a bad parameter).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.core.auth.privileges import SYSTEM_PRINCIPAL
 from repro.core.model.entity import SecurableKind
 from repro.core.service.registry import KIND_RESOURCES, RestRequest
 from repro.errors import (
@@ -81,6 +88,41 @@ class TextResponse:
     content_type: str = "text/plain; version=0.0.4; charset=utf-8"
 
 
+def _error_response(exc: UnityCatalogError) -> tuple[int, dict]:
+    return _STATUS.get(exc.code, 500), exc.to_dict()
+
+
+def _request_pins(params: dict[str, str]) -> dict[str, Any]:
+    """The pipeline's reserved kwargs from the query string: ``?timeout=``
+    (relative seconds) arms the deadline, ``?branch=catalog@branch`` pins
+    the request to a branch, ``?at_version=N`` pins reads AS OF a past
+    metastore version and ``?qos_class=`` requests a priority class.
+    A malformed number is the caller's error, never the server's."""
+    pins: dict[str, Any] = {}
+    if "timeout" in params:
+        raw = params["timeout"]
+        try:
+            timeout = float(raw)
+        except (TypeError, ValueError):
+            timeout = math.nan
+        if not 0 <= timeout < math.inf:
+            raise InvalidRequestError(
+                "timeout must be a finite, non-negative number of seconds, "
+                f"got {str(raw)[:40]!r}")
+        pins["_timeout"] = timeout
+    if "branch" in params:
+        pins["_branch"] = params["branch"]
+    if "at_version" in params:
+        raw = str(params["at_version"])  # in-process callers pass an int
+        if not (raw.isascii() and raw.isdigit()):
+            raise InvalidRequestError(
+                f"at_version must be a non-negative integer, got {raw[:40]!r}")
+        pins["_at_version"] = int(raw)
+    if "qos_class" in params:
+        pins["_qos_class"] = params["qos_class"]
+    return pins
+
+
 class ServiceRouter:
     """Routes REST requests through the service's API registry.
 
@@ -112,11 +154,25 @@ class ServiceRouter:
         which returns a :class:`TextResponse`."""
         params = params or {}
         body = body or {}
+        method, path = method.upper(), path.strip("/")
         try:
-            return self._route(method.upper(), path.strip("/"), principal,
-                               params, body)
+            return self._route(method, path, principal, params, body)
         except UnityCatalogError as exc:
-            return _STATUS.get(exc.code, 500), exc.to_dict()
+            # refused before the pipeline ran, so nothing has audited it
+            self._audit_refusal(method, path, principal, params, body, exc)
+            return _error_response(exc)
+
+    def _audit_refusal(self, method: str, path: str, principal: str,
+                       params: dict, body: dict, exc: UnityCatalogError) -> None:
+        """One denied record for a request refused before any pipeline."""
+        try:
+            metastore_id = self._metastore_id(params, body)
+        except UnityCatalogError:
+            metastore_id = ""  # missing or unknown: the refusal itself
+        self._service._audit(
+            metastore_id, principal or SYSTEM_PRINCIPAL, "rest_request",
+            f"/{path}", False, method=method, error=exc.code,
+        )
 
     # -- routing -----------------------------------------------------------------
 
@@ -173,21 +229,15 @@ class ServiceRouter:
             kind=kind,
             metastore_resolver=lambda: self._metastore_id(params, body),
         )
+        pins = _request_pins(params)
         for binding, descriptor in candidates:
             if binding.when is None or binding.when(request):
                 kwargs = binding.bind(request)
-                if "timeout" in params:
-                    kwargs["_timeout"] = float(params["timeout"])
-                # ?branch=catalog@branch pins the request to a branch;
-                # ?at_version=N pins reads AS OF a past metastore version
-                if "branch" in params:
-                    kwargs["_branch"] = params["branch"]
-                if "at_version" in params:
-                    kwargs["_at_version"] = int(params["at_version"])
-                # ?qos_class=batch requests an explicit priority class
-                if "qos_class" in params:
-                    kwargs["_qos_class"] = params["qos_class"]
-                result = self._service.pipeline.dispatch(descriptor, kwargs)
+                kwargs.update(pins)
+                try:
+                    result = self._service.pipeline.dispatch(descriptor, kwargs)
+                except UnityCatalogError as exc:
+                    return _error_response(exc)  # the pipeline audited it
                 return binding.status, binding.render(result, kwargs)
         raise InvalidRequestError(
             f"no {resource} binding accepts this request shape"

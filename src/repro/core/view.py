@@ -19,6 +19,9 @@ from repro.core.model.entity import Entity, SecurableKind
 from repro.core.paths import PATH_GOVERNED_KINDS, PathTrie
 from repro.core.persistence.store import Snapshot, Tables
 
+#: a memo miss, as distinct from a memoized ``None``
+_UNREAD = object()
+
 
 class MetastoreView(abc.ABC):
     """A consistent read view over one metastore at a known version."""
@@ -101,19 +104,28 @@ class MetastoreView(abc.ABC):
 
 
 class SnapshotView(MetastoreView):
-    """The uncached read path: every lookup reads the backing snapshot.
+    """The uncached read path: the backing snapshot, each row read once.
 
     No cache and no memo beyond one view's lifetime — the "without
     caching" configuration the paper's Figure 10(b) contrasts. Name
     resolution and listing are range reads over the store's tree index,
     so a lookup reads the rows it needs, not the whole metastore.
+
+    Within its lifetime a view keeps what it has read: each decoded
+    entity (``None`` for an absent or inactive id), each securable's
+    grants and each auxiliary row (misses too). The snapshot is pinned at
+    one version, so the memo is never stale and needs no invalidation;
+    the kernel builds a view per request and never keeps it, so the memo
+    holds at most the rows one request touches.
     """
 
     def __init__(self, snapshot: Snapshot, registry):
         self._snapshot = snapshot
         self._registry = registry
-        #: rows pulled in by prefetch_rows; absent keys memoized as None
-        self._prefetched: dict[tuple[str, str], Optional[dict]] = {}
+        self._entities: dict[str, Optional[Entity]] = {}
+        self._grants: dict[str, list[PrivilegeGrant]] = {}
+        #: auxiliary rows, read one by one or by prefetch_rows
+        self._rows: dict[tuple[str, str], Optional[dict]] = {}
         #: path trie built lazily, once — snapshots are immutable
         self._trie: Optional[PathTrie] = None
 
@@ -127,12 +139,23 @@ class SnapshotView(MetastoreView):
             if entity.is_active:
                 yield entity
 
+    def _remember(self, entity_id: str, value: Optional[dict]) -> Optional[Entity]:
+        """The entity of one row read at this view's version, decoded once
+        (``None`` for an absent or inactive one)."""
+        entity = self._entities.get(entity_id, _UNREAD)
+        if entity is _UNREAD:
+            entity = None if value is None else Entity.from_dict(value)
+            if entity is not None and not entity.is_active:
+                entity = None
+            self._entities[entity_id] = entity
+        return entity
+
     def entity_by_id(self, entity_id: str) -> Optional[Entity]:
-        value = self._snapshot.get(Tables.ENTITIES, entity_id)
-        if value is None:
-            return None
-        entity = Entity.from_dict(value)
-        return entity if entity.is_active else None
+        entity = self._entities.get(entity_id, _UNREAD)
+        if entity is _UNREAD:
+            entity = self._remember(
+                entity_id, self._snapshot.get(Tables.ENTITIES, entity_id))
+        return entity
 
     def entity_by_name(
         self, parent_id: Optional[str], namespace_group: str, name: str
@@ -155,8 +178,8 @@ class SnapshotView(MetastoreView):
         rows = self._snapshot.multi_get(Tables.ENTITIES, child_ids)
         return [
             entity
-            for entity in (Entity.from_dict(v) for v in rows.values())
-            if entity.is_active
+            for entity in (self._remember(k, v) for k, v in rows.items())
+            if entity is not None
         ]
 
     def entities(self, kind: Optional[SecurableKind] = None) -> Iterator[Entity]:
@@ -181,27 +204,30 @@ class SnapshotView(MetastoreView):
         return self._build_trie().find_overlapping(path)
 
     def grants_on(self, securable_id: str) -> list[PrivilegeGrant]:
-        # one range read: grant keys start with the securable id
-        return [
-            PrivilegeGrant.from_dict(value)
-            for _, value in self._snapshot.scan_prefix(
-                Tables.GRANTS, f"{securable_id}/"
-            )
-        ]
+        grants = self._grants.get(securable_id)
+        if grants is None:
+            # one range read: grant keys start with the securable id
+            grants = self._grants[securable_id] = [
+                PrivilegeGrant.from_dict(value)
+                for _, value in self._snapshot.scan_prefix(
+                    Tables.GRANTS, f"{securable_id}/"
+                )
+            ]
+        return list(grants)  # the caller's own list; the memo stays as read
 
     def prefetch_rows(self, table: str, keys: list[str]) -> None:
-        missing = [k for k in keys if (table, k) not in self._prefetched]
+        missing = [k for k in keys if (table, k) not in self._rows]
         if not missing:
             return
         fetched = self._snapshot.multi_get(table, missing)
         for key in missing:
-            self._prefetched[(table, key)] = fetched.get(key)
+            self._rows[(table, key)] = fetched.get(key)
 
     def row(self, table: str, key: str) -> Optional[dict]:
-        try:
-            return self._prefetched[(table, key)]
-        except KeyError:
-            return self._snapshot.get(table, key)
+        value = self._rows.get((table, key), _UNREAD)
+        if value is _UNREAD:
+            value = self._rows[(table, key)] = self._snapshot.get(table, key)
+        return value
 
     def rows(self, table: str) -> Iterator[tuple[str, dict]]:
         return self._snapshot.scan(table)

@@ -233,3 +233,35 @@ def test_planted_deepcopy_in_a_store_is_flagged(tmp_path, monkeypatch):
         "src/repro/core/persistence/engine.py:4",
     ]
     assert all("dict(row)" in e for e in errors)
+
+
+# -- rule 7: snapshot views are built per request, by the kernel -----------
+
+def test_view_constructions_sees_both_spellings():
+    tree = ast.parse(
+        "from repro.core import view\n"
+        "a = SnapshotView(snapshot, registry)\n"
+        "b = view.SnapshotView(snapshot, registry)\n"
+        "c = SnapshotView\n"
+        "isinstance(b, SnapshotView)\n"
+    )
+    assert arch_lint.view_constructions(tree) == [2, 3]
+
+
+def test_planted_view_outside_the_kernel_is_flagged(tmp_path, monkeypatch):
+    monkeypatch.setattr(arch_lint, "REPO", tmp_path)
+    src = tmp_path / "src" / "repro"
+    kernel = src / "core" / "service" / "kernel.py"
+    kernel.parent.mkdir(parents=True)
+    kernel.write_text("def view(self, snapshot):\n"
+                      "    return SnapshotView(snapshot, self.registry)\n")
+    (src / "core" / "cache").mkdir()
+    (src / "core" / "cache" / "views.py").write_text(
+        "from repro.core.view import SnapshotView\n\n"
+        "class Keeper:\n"
+        "    def __init__(self, store, registry):\n"
+        "        self.view = SnapshotView(store.snapshot('m'), registry)\n"
+    )
+    errors = arch_lint.check_views_built_per_request(src, kernel)
+    assert [e.split(": ")[0] for e in errors] == ["src/repro/core/cache/views.py:5"]
+    assert "only the kernel builds one" in errors[0]

@@ -266,11 +266,16 @@ class TestDecodeOnce:
             store.create_metastore_slot(MID)
             store.commit(MID, 0, [WriteOp.put(Tables.ENTITIES, "t1", ROW)])
             view = SnapshotView(store.snapshot(MID), registry=None)
-            first, second = view.entity_by_id("t1"), view.entity_by_id("t1")
-            assert first == second and first is not second
+            first = view.entity_by_id("t1")
+            assert view.entity_by_id("t1") is first  # decoded once per view
             assert type(store.snapshot(MID).get(Tables.ENTITIES, "t1")) is dict
-            first.spec["table_type"] = "VIEW"  # a fresh, private copy
-            assert view.entity_by_id("t1").spec["table_type"] == "MANAGED"
+            first.spec["table_type"] = "VIEW"  # this view's private decode
+            fresh = SnapshotView(store.snapshot(MID), registry=None)
+            second = fresh.entity_by_id("t1")
+            assert second == Entity.from_dict(ROW) and second is not first
+            assert second.spec["table_type"] == "MANAGED"
+            stored = store.snapshot(MID).get(Tables.ENTITIES, "t1")
+            assert stored["spec"]["table_type"] == "MANAGED"
         finally:
             store.close()
 

@@ -29,6 +29,14 @@ deterministic_ids = parity.deterministic_ids
 TABLE = "sales.q1.orders"
 BASE = "/api/2.1/unity-catalog"
 
+#: query-string pins that are not numbers the pipeline can use
+BAD_PINS = [{"at_version": "x"}, {"at_version": "-1"}, {"at_version": "1.5"},
+            {"timeout": "soon"}, {"timeout": "nan"}, {"timeout": "-1"},
+            {"timeout": "inf"}]
+BAD_PIN_IDS = ["at-version-word", "at-version-negative", "at-version-fraction",
+               "timeout-word", "timeout-nan", "timeout-negative",
+               "timeout-infinite"]
+
 
 @pytest.fixture
 def api(service, populated):
@@ -174,6 +182,57 @@ class TestRestApi:
         status, body = api.handle("GET", f"{BASE}/catalogs", principal="alice")
         assert status == 400
 
+    @pytest.mark.parametrize("params", BAD_PINS, ids=BAD_PIN_IDS)
+    def test_malformed_pin_is_400(self, api, mid, params):
+        status, body = api.handle(
+            "GET", f"{BASE}/tables/{TABLE}", principal="alice",
+            params={"metastore": "main", **params},
+        )
+        assert status == 400
+        assert body["error_code"] == "INVALID_PARAMETER_VALUE"
+        assert list(params)[0] in body["message"]
+
+    def test_well_formed_pins_still_apply(self, api, service, mid):
+        at = service.head_version(mid)
+        api.handle("PATCH", f"{BASE}/tables/{TABLE}", principal="alice",
+                   params={"metastore": "main"}, body={"comment": "later"})
+        # over HTTP a pin is text; an in-process caller may pass a number
+        for pins in ({"at_version": str(at), "timeout": "0.5"},
+                     {"at_version": at, "timeout": 0.5}):
+            status, body = api.handle(
+                "GET", f"{BASE}/tables/{TABLE}", principal="alice",
+                params={"metastore": "main", **pins},
+            )
+            assert status == 200 and body["comment"] != "later"
+
+    @pytest.mark.parametrize("method, path, params", [
+        ("GET", f"{BASE}/tables/{TABLE}", {}),
+        ("PUT", f"{BASE}/tables/{TABLE}", {"metastore": "main"}),
+        ("GET", f"{BASE}/tables/{TABLE}", {"metastore": "nope"}),
+        ("GET", f"{BASE}/tables/{TABLE}", {"metastore": "main", "at_version": "x"}),
+        ("GET", f"{BASE}/tables/{TABLE}", {"metastore": "main", "at_version": "-1"}),
+        ("GET", f"{BASE}/tables/{TABLE}", {"metastore": "main", "timeout": "soon"}),
+        ("GET", "/nope", {}),
+    ], ids=["missing-metastore", "unsupported-method", "unknown-metastore",
+            "at-version-not-a-number", "at-version-negative",
+            "timeout-not-a-number", "unknown-route"])
+    def test_a_refusal_before_the_pipeline_is_audited_once(
+            self, api, service, mid, method, path, params):
+        before = len(service.audit)
+        status, body = api.handle(method, path, principal="alice", params=params)
+        assert status in (400, 404)
+        assert len(service.audit) == before + 1
+        record = service.audit.tail(1)[0]
+        assert not record.allowed and record.principal == "alice"
+        assert record.details["error"] == body["error_code"]
+
+    def test_a_refusal_in_the_pipeline_is_audited_once(self, api, service, mid):
+        before = len(service.audit)
+        status, _ = api.handle("GET", f"{BASE}/tables/{TABLE}", principal="bob",
+                               params={"metastore": "main"})
+        assert status == 403
+        assert len(service.audit) == before + 1
+
 
 class TestDiscoveryRoutes:
     def test_information_schema_route(self, api, mid):
@@ -270,6 +329,23 @@ class TestHttpTransport:
         response = connection.getresponse()
         assert response.status == 401
         connection.close()
+
+    @pytest.mark.parametrize("params", BAD_PINS, ids=BAD_PIN_IDS)
+    def test_http_malformed_pin_is_400_not_500(self, server, service, mid, params):
+        host, port = server.address
+        query = urlencode({"metastore": "main", **params})
+        before = len(service.audit)
+        connection = http.client.HTTPConnection(host, port)
+        try:
+            connection.request("GET", f"{BASE}/tables/{TABLE}?{query}",
+                               headers={"X-Unity-Principal": "alice"})
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert body["error_code"] == "INVALID_PARAMETER_VALUE"
+        assert len(service.audit) == before + 1
 
 
 # ----------------------------------------------------------------------

@@ -52,6 +52,14 @@ The frozen-row change added a row-ownership rule:
    under ``repro.core`` imports :mod:`copy` or calls ``deepcopy``: a
    writer that changes a row copies it with ``dict(row)``.
 
+The view read memo added a view-lifetime rule:
+
+7. **A snapshot view lives for one request.** ``SnapshotView`` keeps
+   every row it reads for its own lifetime, which is bounded only
+   because the kernel builds one per request and never keeps it. So
+   ``SnapshotView(`` is called only in ``repro.core.service.kernel``;
+   anything else that needs a view asks the kernel for one.
+
 Run from the repository root::
 
     python tools/arch_lint.py
@@ -559,6 +567,40 @@ def check_no_row_copies(root: Path = ROW_SHARING_ROOT) -> list[str]:
     return errors
 
 
+# -- rule 7: snapshot views are built per request, by the kernel -----------
+
+SRC = REPO / "src" / "repro"
+#: the one module that builds snapshot views (``ServiceKernel.view``)
+VIEW_BUILDER = SRC / "core" / "service" / "kernel.py"
+
+
+def view_constructions(tree: ast.Module) -> list[int]:
+    """Line of each ``SnapshotView(...)`` call in ``tree``."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "SnapshotView")
+            or (isinstance(node.func, ast.Attribute)
+                and node.func.attr == "SnapshotView"))
+    ]
+
+
+def check_views_built_per_request(root: Path = SRC,
+                                  builder: Path = VIEW_BUILDER) -> list[str]:
+    """Rule 7: no module under ``root`` but ``builder`` builds a view."""
+    errors = []
+    for path in sorted(root.rglob("*.py")):
+        if path == builder:
+            continue
+        for lineno in view_constructions(_parse(path)):
+            errors.append(
+                f"{path.relative_to(REPO)}:{lineno}: SnapshotView( — a view "
+                "memoizes what it reads, so only the kernel builds one, per "
+                "request; ask it with view()"
+            )
+    return errors
+
+
 def run() -> list[str]:
     errors = []
     errors += check_domain_isolation()
@@ -567,6 +609,7 @@ def run() -> list[str]:
     errors += check_concurrency_guards()
     errors += check_branch_version_gates()
     errors += check_no_row_copies()
+    errors += check_views_built_per_request()
     return errors
 
 
