@@ -10,6 +10,7 @@ manifest.
 from __future__ import annotations
 
 import enum
+import json
 import uuid
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
@@ -73,6 +74,52 @@ class EntityState(enum.Enum):
     DELETED = "DELETED"
 
 
+def _unmarks(change):
+    """``change``, after dropping the rendering's mark."""
+    def unmark(self, *args, **kwargs):
+        self.entity = None  # changed: no longer the entity's rendering
+        return change(self, *args, **kwargs)
+    return unmark
+
+
+class Rendering(dict):
+    """:meth:`Entity.to_dict`, marked with the entity it renders.
+
+    What the REST layer puts in a payload for an entity. To every reader
+    it is that dict: same keys, same order, plain ``properties`` and
+    ``spec``. The HTTP server's body encoder splices :meth:`kept_text`
+    in its place instead of encoding it again.
+
+    A rendering changed after it was made is never spliced: each
+    top-level mutator drops the mark first, and :meth:`kept_text` checks
+    the two nested dicts a caller may change. The values inside
+    ``spec`` are shared read-only, as :meth:`Entity.to_dict` says.
+    """
+
+    __slots__ = ("entity",)
+
+    __setitem__ = _unmarks(dict.__setitem__)
+    __delitem__ = _unmarks(dict.__delitem__)
+    __ior__ = _unmarks(dict.__ior__)
+    clear = _unmarks(dict.clear)
+    pop = _unmarks(dict.pop)
+    popitem = _unmarks(dict.popitem)
+    setdefault = _unmarks(dict.setdefault)
+    update = _unmarks(dict.update)
+
+    def kept_text(self) -> Optional[str]:
+        """``json.dumps(self)``, from the entity's kept text; ``None``
+        when there is none, or when this rendering has been changed."""
+        entity = self.entity
+        if entity is None:
+            return None
+        text = entity.json_text()
+        if (text is None or self["properties"] != entity.properties
+                or self["spec"] != entity.plain_spec):
+            return None
+        return text
+
+
 def new_entity_id() -> str:
     """Mint a globally unique entity id."""
     return uuid.uuid4().hex
@@ -133,11 +180,32 @@ class Entity:
         }
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly rendering used by the REST layer: plain dicts and
-        lists, the JSON encoder's fast path. The top level, ``spec`` and
+        """JSON-friendly form (the REST layer's is :meth:`rendering`): plain
+        dicts and lists, the JSON encoder's fast path. The top level, ``spec`` and
         ``properties`` are fresh dicts; the values inside ``spec`` come
         from :attr:`plain_spec` and are shared (read-only)."""
         return self._fields(dict(self.properties), dict(self.plain_spec))
+
+    def rendering(self) -> Rendering:
+        """:meth:`to_dict`, marked as this entity's (see :class:`Rendering`)."""
+        rendering = Rendering(self.to_dict())
+        rendering.entity = self
+        return rendering
+
+    def json_text(self) -> Optional[str]:
+        """``json.dumps(self.to_dict())``, kept on this entity from the
+        first call. An entity whose ``spec`` and ``properties`` are
+        frozen is one row version, immutable all the way down, so its
+        text can never be stale and is never invalidated. Any other
+        entity (decoded from a plain row, or built by a writer) may
+        still change under its caller: ``None``, encode it per call."""
+        if type(self.spec) is not FrozenRow or type(self.properties) is not FrozenRow:
+            return None
+        text = self.__dict__.get("_json")
+        if text is None:
+            text = json.dumps(self.to_dict())
+            object.__setattr__(self, "_json", text)  # the one derived field
+        return text
 
     def to_row(self) -> FrozenRow:
         """The stored row of this entity (what ``WriteOp.put`` takes): a

@@ -333,7 +333,7 @@ def _render_resolution(resolution, kwargs) -> dict[str, Any]:
     assets = {}
     for name, asset in resolution.assets.items():
         assets[name] = {
-            "entity": asset.entity.to_dict(),
+            "entity": asset.entity.rendering(),
             "table_type": asset.table_type,
             "format": asset.format,
             "columns": asset.columns,

@@ -717,8 +717,7 @@ ENDPOINTS = (
             mint_params=("metastore_id",),
         ),
         rest=(
-            RestBinding("POST", "metastores", _bind_create_metastore, status=201,
-                        render=lambda result, kwargs: result.to_dict()),
+            RestBinding("POST", "metastores", _bind_create_metastore, status=201),
         ),
         doc="Create a metastore (namespace root, unit of isolation).",
     ),
@@ -740,8 +739,7 @@ ENDPOINTS = (
         mutation=True,
         cluster=ClusterBinding(plan=_write_plan, mint_params=("entity_id",)),
         rest=(
-            RestBinding("POST", KIND_RESOURCES, _bind_create, status=201,
-                        render=lambda result, kwargs: result.to_dict()),
+            RestBinding("POST", KIND_RESOURCES, _bind_create, status=201),
         ),
         doc="Create any securable; behaviour driven by its manifest.",
     ),
@@ -753,8 +751,7 @@ ENDPOINTS = (
         operation="read_metadata",
         cluster=ClusterBinding(plan=_read_plan, stale_ok=True),
         rest=(
-            RestBinding("GET", KIND_RESOURCES, _bind_named, named=True,
-                        render=lambda result, kwargs: result.to_dict()),
+            RestBinding("GET", KIND_RESOURCES, _bind_named, named=True),
         ),
         doc="Fetch one securable by fully qualified name.",
     ),
@@ -768,7 +765,7 @@ ENDPOINTS = (
             RestBinding(
                 "GET", KIND_RESOURCES, _bind_list,
                 render=lambda result, kwargs: {
-                    "items": [e.to_dict() for e in result]
+                    "items": [e.rendering() for e in result]
                 },
             ),
         ),
@@ -782,11 +779,9 @@ ENDPOINTS = (
         cluster=ClusterBinding(plan=_plan_rename),
         rest=(
             RestBinding("PATCH", KIND_RESOURCES, _bind_rename, named=True,
-                        when=lambda r: "new_name" in r.body,
-                        render=lambda result, kwargs: result.to_dict()),
+                        when=lambda r: "new_name" in r.body),
             RestBinding("PATCH", "metastores", _bind_metastore_rename,
-                        named=True, when=lambda r: "new_name" in r.body,
-                        render=lambda result, kwargs: result.to_dict()),
+                        named=True, when=lambda r: "new_name" in r.body),
         ),
         doc="Rename a securable within its parent.",
     ),
@@ -798,8 +793,7 @@ ENDPOINTS = (
         cluster=ClusterBinding(plan=_write_plan),
         rest=(
             RestBinding("PATCH", KIND_RESOURCES, _bind_transfer, named=True,
-                        when=lambda r: "new_owner" in r.body,
-                        render=lambda result, kwargs: result.to_dict()),
+                        when=lambda r: "new_owner" in r.body),
         ),
         doc="Transfer ownership of a securable.",
     ),
@@ -812,8 +806,7 @@ ENDPOINTS = (
         rest=(
             # registered after rename/transfer: their `when` guards get
             # first pick of the shared PATCH route
-            RestBinding("PATCH", KIND_RESOURCES, _bind_update, named=True,
-                        render=lambda result, kwargs: result.to_dict()),
+            RestBinding("PATCH", KIND_RESOURCES, _bind_update, named=True),
         ),
         doc="Update comment/properties/spec of a securable.",
     ),

@@ -433,11 +433,22 @@ class ServiceKernel:
         ``store.snapshot`` so branch requests see their overlay.
         """
         branch, at_version = self._request_pin()
-        if branch is None:
-            return self.store.snapshot(metastore_id, at_version)
-        return _branching.branch_snapshot(
-            self.store, metastore_id, branch, at_version
-        )
+        try:
+            if branch is None:
+                return self.store.snapshot(metastore_id, at_version)
+            return _branching.branch_snapshot(
+                self.store, metastore_id, branch, at_version
+            )
+        except ConcurrentModificationError:
+            if at_version is None:
+                raise
+            # a version past the head names no state yet: the caller's
+            # error, not the store's retryable write conflict, which a
+            # client that retries conflicts would repeat forever
+            raise InvalidRequestError(
+                f"at_version {at_version} is ahead of the metastore's head "
+                f"version {self.head_version(metastore_id)}"
+            ) from None
 
     def view(self, metastore_id: str) -> MetastoreView:
         """A consistent read view (cached or snapshot-backed).
@@ -456,14 +467,7 @@ class ServiceKernel:
             if node is not None:
                 return node.view(check_version=self._read_version_check)
             return SnapshotView(self.store.snapshot(metastore_id), self.registry)
-        if branch is None:
-            return SnapshotView(
-                self.store.snapshot(metastore_id, at_version), self.registry
-            )
-        snapshot = _branching.branch_snapshot(
-            self.store, metastore_id, branch, at_version
-        )
-        view = SnapshotView(snapshot, self.registry)
+        view = SnapshotView(self.raw_snapshot(metastore_id), self.registry)
         view.branch = branch
         return view
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.core.model.entity import SecurableKind
+from repro.core.model.entity import Entity, SecurableKind
 from repro.errors import InvalidRequestError, NotFoundError
 
 
@@ -95,6 +95,12 @@ class RestRequest:
 KIND_RESOURCES = "*kinds*"
 
 
+def _render_result(result: Any, kwargs: dict[str, Any]) -> Any:
+    """The payload of an endpoint without a render of its own: an
+    :class:`Entity` result as its rendering, any other as it is."""
+    return result.rendering() if type(result) is Entity else result
+
+
 @dataclass(frozen=True)
 class RestBinding:
     """How one endpoint appears on the REST surface.
@@ -116,7 +122,7 @@ class RestBinding:
     when: Optional[Callable[[RestRequest], bool]] = None
     status: int = 200
     #: (result, bound kwargs) -> JSON-able payload
-    render: Callable[[Any, dict[str, Any]], Any] = lambda result, kwargs: result
+    render: Callable[[Any, dict[str, Any]], Any] = _render_result
 
     @property
     def route_key(self) -> tuple[str, str, bool]:

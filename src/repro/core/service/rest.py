@@ -21,7 +21,8 @@ Authentication is the upstream gateway's job (paper section 3.4); the
 caller principal arrives as a header. A ``timeout`` query parameter
 (relative seconds) arms the pipeline's request deadline; a request that
 exhausts it maps to HTTP 504. A malformed ``timeout`` or ``at_version``
-is a 400, like any other bad input.
+is a 400, like any other bad input, and so is a body the endpoint's
+marshalling cannot read (a missing field, an unknown kind or privilege).
 
 Every refusal leaves one audit record: the pipeline audits what it
 refuses, and the router audits what it refuses before a pipeline runs
@@ -90,6 +91,15 @@ class TextResponse:
 
 def _error_response(exc: UnityCatalogError) -> tuple[int, dict]:
     return _STATUS.get(exc.code, 500), exc.to_dict()
+
+
+def _malformed(exc: Exception) -> InvalidRequestError:
+    """The caller's 400 for a field that marshalling could not read: a
+    ``bind`` (or a kind name) raises plain ``KeyError`` / ``ValueError``
+    / ``TypeError`` on a missing field or a value of the wrong shape."""
+    if isinstance(exc, KeyError):
+        return InvalidRequestError(f"missing field {exc.args[0]!r}")
+    return InvalidRequestError(f"malformed request: {str(exc)[:200]}")
 
 
 def _request_pins(params: dict[str, str]) -> dict[str, Any]:
@@ -232,7 +242,10 @@ class ServiceRouter:
         pins = _request_pins(params)
         for binding, descriptor in candidates:
             if binding.when is None or binding.when(request):
-                kwargs = binding.bind(request)
+                try:
+                    kwargs = binding.bind(request)
+                except (KeyError, ValueError, TypeError) as exc:
+                    raise _malformed(exc) from None
                 kwargs.update(pins)
                 try:
                     result = self._service.pipeline.dispatch(descriptor, kwargs)
@@ -293,9 +306,12 @@ class ServiceRouter:
         metastore_id = self._metastore_id(params, body)
         self._search.sync(metastore_id)
         kind = body.get("kind")
+        try:
+            kind = SecurableKind(kind) if kind else None
+        except ValueError as exc:
+            raise _malformed(exc) from None
         hits = self._search.search(
-            metastore_id, principal, body.get("query", ""),
-            kind=SecurableKind(kind) if kind else None,
+            metastore_id, principal, body.get("query", ""), kind=kind,
             limit=body.get("limit", 50),
         )
         return 200, {

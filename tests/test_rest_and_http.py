@@ -234,6 +234,100 @@ class TestRestApi:
         assert len(service.audit) == before + 1
 
 
+#: request bodies the endpoints' marshalling cannot read: (path, body)
+MALFORMED_BODIES = [
+    ("catalogs", {"metastore": "main"}),
+    ("grants", {"metastore": "main", "securable_kind": "NOPE",
+                "securable_name": TABLE, "principal": "bob",
+                "privilege": "SELECT"}),
+    ("grants", {"metastore": "main", "securable_kind": "TABLE",
+                "securable_name": TABLE, "principal": "bob",
+                "privilege": "NOPE"}),
+    ("temporary-credentials", {"metastore": "main", "securable_kind": "TABLE",
+                               "securable_name": TABLE,
+                               "access_level": "NOPE"}),
+]
+MALFORMED_IDS = ["create-without-name", "grant-unknown-kind",
+                 "grant-unknown-privilege", "credential-unknown-level"]
+
+
+class TestMalformedInput:
+    """Input the router cannot use is the caller's 400, audited once."""
+
+    @pytest.mark.parametrize("resource, body", MALFORMED_BODIES, ids=MALFORMED_IDS)
+    def test_a_malformed_body_is_400_and_audited_once(
+            self, api, service, mid, resource, body):
+        before = len(service.audit)
+        status, answer = api.handle("POST", f"{BASE}/{resource}",
+                                    principal="alice", body=body)
+        assert status == 400
+        assert answer["error_code"] == "INVALID_PARAMETER_VALUE"
+        assert "retryable" not in answer
+        assert len(service.audit) == before + 1
+        record = service.audit.tail(1)[0]
+        assert not record.allowed and record.principal == "alice"
+        assert record.details["error"] == "INVALID_PARAMETER_VALUE"
+
+    def test_a_missing_field_is_named(self, api, mid):
+        _, answer = api.handle("POST", f"{BASE}/catalogs", principal="alice",
+                               body={"metastore": "main"})
+        assert "'name'" in answer["message"]
+
+    def test_a_search_for_an_unknown_kind_is_400(self, service, mid):
+        from repro.core.search import SearchService
+
+        api = RestApi(service, search_service=SearchService(service))
+        before = len(service.audit)
+        status, answer = api.handle(
+            "POST", f"{BASE}/search", principal="alice",
+            body={"metastore": "main", "query": "orders", "kind": "NOPE"})
+        assert status == 400
+        assert answer["error_code"] == "INVALID_PARAMETER_VALUE"
+        assert len(service.audit) == before + 1
+
+    @pytest.mark.parametrize("resource, body", MALFORMED_BODIES, ids=MALFORMED_IDS)
+    def test_a_malformed_body_over_http_is_400_not_500(
+            self, server, service, mid, resource, body):
+        before = len(service.audit)
+        with UnityCatalogHttpClient(*server.address, "alice") as alice:
+            answer = alice.request("POST", f"{BASE}/{resource}", body=body,
+                                   raise_on_error=False)
+        assert answer["error_code"] == "INVALID_PARAMETER_VALUE"
+        assert len(service.audit) == before + 1
+
+    @pytest.mark.parametrize("branch", [None, "sales@dev"], ids=["trunk", "branch"])
+    def test_at_version_past_the_head_is_a_400_naming_the_head(
+            self, api, service, mid, branch):
+        pin = {}
+        if branch is not None:
+            service.create_branch(mid, "alice", "sales", "dev")
+            pin = {"branch": branch}
+        head = service.head_version(mid)
+        before = len(service.audit)
+        status, answer = api.handle(
+            "GET", f"{BASE}/tables/{TABLE}", principal="alice",
+            params={"metastore": "main", "at_version": str(head + 99999), **pin})
+        assert status == 400
+        assert answer["error_code"] == "INVALID_PARAMETER_VALUE"
+        assert "retryable" not in answer
+        assert f"head version {head}" in answer["message"]
+        assert len(service.audit) == before + 1
+        # the head itself is still a version a read may pin
+        status, _ = api.handle(
+            "GET", f"{BASE}/tables/{TABLE}", principal="alice",
+            params={"metastore": "main", "at_version": str(head), **pin})
+        assert status == 200
+
+    def test_at_version_past_the_head_over_http(self, server, service, mid):
+        head = service.head_version(mid)
+        with UnityCatalogHttpClient(*server.address, "alice") as alice:
+            answer = alice.request(
+                "GET", f"{BASE}/tables/{TABLE}", raise_on_error=False,
+                params={"metastore": "main", "at_version": head + 1})
+        assert answer["error_code"] == "INVALID_PARAMETER_VALUE"
+        assert f"head version {head}" in answer["message"]
+
+
 class TestDiscoveryRoutes:
     def test_information_schema_route(self, api, mid):
         status, body = api.handle(
