@@ -17,7 +17,6 @@ from benchmarks.conftest import write_report
 from repro.bench.latency import LatencyModel
 from repro.bench.report import render_table
 from repro.clock import SimClock
-from repro.core.assets.builtin import builtin_registry
 from repro.core.cache.eviction import LfuPolicy, LruPolicy
 from repro.core.cache.node import MetastoreCacheNode, ReconcileMode
 from repro.core.model.entity import Entity, SecurableKind
@@ -49,8 +48,7 @@ def _reconcile_cost(mode: ReconcileMode, population: int,
     rows = [_entity_row(i) for i in range(population)]
     for i, row in enumerate(rows):
         store.commit(MID, i, [WriteOp.put(Tables.ENTITIES, row["id"], row)])
-    node = MetastoreCacheNode(store, MID, builtin_registry(),
-                              clock=SimClock(), reconcile_mode=mode)
+    node = MetastoreCacheNode(store, MID, clock=SimClock(), reconcile_mode=mode)
     node.warm()
     version = node.known_version
     for i in range(out_of_band_writes):
@@ -59,10 +57,10 @@ def _reconcile_cost(mode: ReconcileMode, population: int,
                      [WriteOp.put(Tables.ENTITIES, updated["id"], updated)])
     reads_before = store.read_count
     scans_before = store.scan_row_count
-    view = node.view()  # detects staleness, reconciles
+    snapshot = node.view()  # detects staleness, reconciles
     for row in rows[:20]:  # serve a few reads post-reconcile
-        view.entity_by_id(row["id"])
-    list(view.entities())
+        snapshot.get(Tables.ENTITIES, row["id"])
+    list(snapshot.scan(Tables.ENTITIES))
     return store.read_count - reads_before, store.scan_row_count - scans_before
 
 
@@ -109,20 +107,21 @@ def test_ablation_eviction_policy(benchmark):
         for i, row in enumerate(rows):
             store.commit(MID, i, [WriteOp.put(Tables.ENTITIES, row["id"], row)])
         node = MetastoreCacheNode(
-            store, MID, builtin_registry(), clock=SimClock(),
+            store, MID, clock=SimClock(),
             eviction_policy=policy_factory(), max_cached_entities=capacity,
         )
         node.warm()
         rng = random.Random(42)
         zipf_weights = [1.0 / (rank + 1) ** 1.1 for rank in range(population)]
-        view = node.view(check_version=False)
         hits_before = node.stats.hits
         for i in range(accesses):
             if accesses // 2 <= i < accesses // 2 + population:
                 index = i - accesses // 2  # sequential scan storm
             else:
                 index = rng.choices(range(population), weights=zipf_weights)[0]
-            view.entity_by_id(rows[index]["id"])
+            # a snapshot per access: each one reaches the node, where a
+            # request's view would serve its second read from its memo
+            node.view(check_version=False).get(Tables.ENTITIES, rows[index]["id"])
         total = node.stats.hits - hits_before + node.stats.misses
         return node.stats.hits - hits_before, node.stats.misses
 

@@ -220,12 +220,14 @@ class Authorizer:
         return {c: dict(t) for c, t in row.get("column_tags", {}).items()} if row else {}
 
     def _abac_policies(self, view: MetastoreView) -> list[AbacPolicy]:
+        """The metastore's ABAC policies by name: the rules they add come
+        out in one order whatever ids the store keys them by."""
         policies = []
         for key, value in view.rows(Tables.POLICIES):
             self.policy_rows_examined += 1
             if value.get("policy_type") == "ABAC":
                 policies.append(AbacPolicy.from_dict(value))
-        return policies
+        return sorted(policies, key=lambda p: (p.name, p.policy_id))
 
     def _abac_granted(
         self,

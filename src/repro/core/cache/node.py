@@ -1,61 +1,47 @@
 """The write-through, multi-version metadata cache (paper section 4.5).
 
-One :class:`MetastoreCacheNode` *owns* one metastore (assignments come
-from the sharding service, section 5; ownership is best-effort and not
-exclusive). The node maintains the invariant that a cached asset's
-versions are the latest as of the metastore version known to the node:
+A :class:`MetastoreCacheNode` owns one metastore (section 5, best-effort)
+and keeps a versioned copy of it in a local ``InMemoryMetadataStore`` slot
+holding the backing store's own frozen rows. Reads check the DB's version
+and *reconcile* a stale copy (drop it, or install the rows the change log
+names); writes CAS the version in the DB, then install the same ops.
 
-* **Reads** check the DB's metastore version (a cheap point read); if the
-  node has fallen behind, it *reconciles* — either evicting everything or
-  selectively invalidating the keys named by the change log.
-* **Writes** commit to the DB with a compare-and-swap on the metastore
-  version. Success write-throughs the new row versions into the cache; a
-  failed CAS means another node owns (or wrote to) the metastore, and the
-  node reconciles before the caller retries.
-* The cache is multi-versioned so in-flight snapshot reads pinned at an
-  older version are not blocked by concurrent writes; superseded versions
-  are pruned lazily after the API-request timeout has passed, since no
-  in-flight request can still need them.
+A read at version V uses the copy where it is *authoritative* at V: the
+key's local history reaches back to V, or the copy has held the whole
+table since V or earlier. Anything else (an evicted row, a table not yet
+filled, a key installed after V, an uncached table) reads the DB at V.
+Eviction drops entity rows only: the tree index and the path trie keep
+them, so no lookup reports an evicted row as absent. Old versions serve
+pinned snapshots until the request timeout has passed.
 """
 
 from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from repro.clock import Clock, WallClock
 from repro.cloudstore.object_store import StoragePath
-from repro.core.auth.privileges import PrivilegeGrant
 from repro.core.cache.eviction import EvictionPolicy, LruPolicy
-from repro.core.frozen import freeze
-from repro.core.model.entity import Entity, SecurableKind
-from repro.core.model.registry import AssetTypeRegistry
-from repro.core.paths import PATH_GOVERNED_KINDS, PathTrie
-from repro.core.persistence.branching import is_branch_table
-from repro.core.persistence.store import MetadataStore, Tables, WriteOp
-from repro.core.view import MetastoreView
+from repro.core.paths import PathTrie, governed_path
+from repro.core.persistence.memory import InMemoryMetadataStore
+from repro.core.persistence.store import TREE_INDEX, MetadataStore, Snapshot, Tables, WriteOp
 from repro.errors import ConcurrentModificationError, PathConflictError
 
-#: Tables the node caches and keeps completeness flags for.
-_CACHED_TABLES = (
-    Tables.ENTITIES,
-    Tables.GRANTS,
-    Tables.TAGS,
-    Tables.POLICIES,
-    Tables.COMMITS,
-    Tables.SHARES,
-)
+#: the tables the node copies; any other (branch refs) is only read through
+_CACHED_TABLES = (Tables.ENTITIES, Tables.GRANTS, Tables.TAGS,
+                  Tables.POLICIES, Tables.COMMITS, Tables.SHARES)
+#: the copy holds no version of the key at the version read
+_UNKNOWN = object()
+_NEVER = float("inf")
 
 
 class ReconcileMode(enum.Enum):
-    """How a stale node catches up with the DB (paper section 4.5).
-
-    ``EVICT_ALL`` is the naive strategy; ``SELECTIVE`` consults the
-    change log to invalidate only modified entries. The ablation benchmark
-    compares the two.
-    """
+    """How a stale node catches up (section 4.5): drop the copy (``EVICT_ALL``), or
+    install the keys the change log names (``SELECTIVE``); an ablation compares them."""
 
     EVICT_ALL = "EVICT_ALL"
     SELECTIVE = "SELECTIVE"
@@ -78,67 +64,17 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-@dataclass
-class _VersionedRow:
-    """Versions of one row: ascending ``(version, value, inserted_at)``."""
-
-    versions: list[tuple[int, Optional[dict], float]] = field(default_factory=list)
-
-    def visible(self, at: int) -> Optional[dict]:
-        for version, value, _ in reversed(self.versions):
-            if version <= at:
-                return value
-        return None
-
-    def latest(self) -> tuple[int, Optional[dict]]:
-        version, value, _ = self.versions[-1]
-        return version, value
-
-    def append(self, version: int, value: Optional[dict], now: float) -> None:
-        if self.versions and self.versions[-1][0] == version:
-            self.versions[-1] = (version, value, now)
-        else:
-            self.versions.append((version, value, now))
-
-    def prune_superseded(self, cutoff: float) -> int:
-        """Drop versions superseded before ``cutoff``; keep the newest.
-
-        A version can be dropped once its *successor* has been cached for
-        longer than the request timeout — no in-flight request can still
-        be pinned before the successor.
-        """
-        if len(self.versions) <= 1:
-            return 0
-        keep_from = 0
-        for i in range(1, len(self.versions)):
-            if self.versions[i][2] <= cutoff:
-                keep_from = i
-        if keep_from == 0:
-            return 0
-        self.versions = self.versions[keep_from:]
-        return keep_from
-
-    def version_count(self) -> int:
-        return len(self.versions)
-
-
 class MetastoreCacheNode:
     """Write-through multi-version cache for one metastore."""
 
-    def __init__(
-        self,
-        store: MetadataStore,
-        metastore_id: str,
-        registry: AssetTypeRegistry,
-        clock: Optional[Clock] = None,
-        reconcile_mode: ReconcileMode = ReconcileMode.SELECTIVE,
-        eviction_policy: Optional[EvictionPolicy] = None,
-        max_cached_entities: Optional[int] = None,
-        request_timeout_seconds: float = 60.0,
-    ):
+    def __init__(self, store: MetadataStore, metastore_id: str,
+                 clock: Optional[Clock] = None,
+                 reconcile_mode: ReconcileMode = ReconcileMode.SELECTIVE,
+                 eviction_policy: Optional[EvictionPolicy] = None,
+                 max_cached_entities: Optional[int] = None,
+                 request_timeout_seconds: float = 60.0):
         self._store = store
         self.metastore_id = metastore_id
-        self._registry = registry
         self._clock = clock or WallClock()
         self.reconcile_mode = reconcile_mode
         # explicit None check: an empty policy is falsy (it has __len__)
@@ -146,408 +82,219 @@ class MetastoreCacheNode:
         self._max_entities = max_cached_entities
         self._timeout = request_timeout_seconds
         self._lock = threading.RLock()
-
-        self.known_version = store.current_version(metastore_id)
-        self._rows: dict[str, dict[str, _VersionedRow]] = {
-            table: {} for table in _CACHED_TABLES
-        }
-        self._complete: dict[str, bool] = {table: False for table in _CACHED_TABLES}
-
-        # derived indexes over the *latest* versions
-        self._name_index: dict[tuple, str] = {}
-        self._children: dict[str, set[str]] = {}
-        self._trie = PathTrie()
-        self._grants_index: dict[str, dict[str, PrivilegeGrant]] = {}
-
         self.stats = CacheStats()
+        #: (time, version) of each install since the last prune, in order
+        self._installs: deque[tuple[float, int]] = deque()
+        self._pruned_at = self._clock.now()
+        self._drop(store.current_version(metastore_id))
 
-    # -- public API ------------------------------------------------------------
-
-    def view(self, check_version: bool = True) -> "CachedView":
-        """A snapshot-consistent read view at the node's known version.
-
-        ``check_version`` performs the paper's per-read freshness check
-        against the DB's metastore version (one cheap point read).
-        """
+    def view(self, check_version: bool = True) -> Snapshot:
+        """A snapshot at the known version, after the paper's per-read version check."""
         with self._lock:
             if check_version:
                 self.stats.version_checks += 1
-                current = self._store.current_version(self.metastore_id)
-                if current != self.known_version:
-                    self._reconcile(current)
-            return CachedView(self, self.known_version)
+                if self._store.current_version(self.metastore_id) != self.known_version:
+                    self._reconcile()
+            self._prune()
+            if self._head.version != self.known_version:
+                self._head = self._local.snapshot(self.metastore_id)
+            return _NodeSnapshot(self, self._local, self._head)
 
     def commit(self, ops: list[WriteOp]) -> int:
-        """Serializable write: CAS on the metastore version, then
-        write-through the new row versions into the cache."""
+        """Serializable write: a CAS in the DB, then the ops installed at its version."""
         with self._lock:
             try:
-                new_version = self._store.commit(
-                    self.metastore_id, self.known_version, ops
-                )
+                version = self._store.commit(self.metastore_id, self.known_version, ops)
             except ConcurrentModificationError:
                 self.stats.commit_conflicts += 1
-                self._reconcile(self._store.current_version(self.metastore_id))
+                self._reconcile()
                 raise
-            now = self._clock.now()
-            for op in ops:
-                self._apply(op.table, op.key, op.value, new_version, now)
-            self.known_version = new_version
-            return new_version
+            self._install(version, ops)
+            self.known_version = version
+            return version
 
     def warm(self) -> None:
-        """Load the metastore's full working set into memory."""
+        """Copy the metastore's full working set into memory."""
         with self._lock:
             snapshot = self._store.snapshot(self.metastore_id)
-            now = self._clock.now()
+            self._drop(snapshot.version)
             for table in _CACHED_TABLES:
-                # set the flag first: evictions fired while loading must be
-                # able to clear it, or evicted keys would read as absent
-                self._complete[table] = True
-                for key, value in snapshot.scan(table):
-                    self._apply(table, key, value, snapshot.version, now)
-            self.known_version = snapshot.version
+                self._fill(snapshot, table)
 
     def reconcile(self) -> None:
         """Force a catch-up with the DB (normally triggered automatically)."""
         with self._lock:
-            self._reconcile(self._store.current_version(self.metastore_id))
+            self._reconcile()
 
-    # -- reconciliation ----------------------------------------------------------
-
-    def _reconcile(self, target_version: int) -> None:
-        self.stats.reconciles += 1
-        if self.reconcile_mode is ReconcileMode.EVICT_ALL:
-            self._evict_all()
-            self.known_version = target_version
-            return
-        changes = self._store.changes_since(self.metastore_id, self.known_version)
-        snapshot = self._store.snapshot(self.metastore_id)
-        # branch overlay / ref rows are invisible on the trunk: skip them
-        # so branch churn never populates (or evicts from) the node cache
-        changed_keys = {
-            (c.table, c.key) for c in changes if not is_branch_table(c.table)
-        }
-        # one batched read per touched table instead of one get per key
-        keys_by_table: dict[str, list[str]] = {}
-        for table, key in sorted(changed_keys):
-            keys_by_table.setdefault(table, []).append(key)
-        fetched = {
-            table: snapshot.multi_get(table, keys)
-            for table, keys in keys_by_table.items()
-        }
-        now = self._clock.now()
-        for table, key in sorted(changed_keys):
-            value = fetched[table].get(key)
-            try:
-                self._apply(table, key, value, snapshot.version, now)
-            except PathConflictError:
-                # transient overlap from out-of-order index maintenance;
-                # rebuild the trie from the reconciled state
-                self._rebuild_trie()
-            self.stats.selective_invalidations += 1
-        self.known_version = snapshot.version
-
-    def _evict_all(self) -> None:
-        for table in _CACHED_TABLES:
-            self._rows[table].clear()
-            self._complete[table] = False
-        self._name_index.clear()
-        self._children.clear()
-        self._trie = PathTrie()
-        self._grants_index.clear()
-        self._policy = type(self._policy)()
-
-    def _rebuild_trie(self) -> None:
-        self._trie = PathTrie()
-        for key, row in self._rows[Tables.ENTITIES].items():
-            _, value = row.latest() if row.versions else (0, None)
-            if value is None:
-                continue
-            entity = Entity.from_dict(value)
-            if (
-                entity.is_active
-                and entity.storage_path
-                and entity.kind in PATH_GOVERNED_KINDS
-            ):
-                self._trie.register(StoragePath.parse(entity.storage_path), entity.id)
-
-    # -- row application and derived-index maintenance ------------------------------
-
-    def _apply(
-        self, table: str, key: str, value: Optional[dict], version: int, now: float
-    ) -> None:
-        # every view shares the cached row: a store row or a written one
-        # is frozen already (no cost), a freshly decoded one is frozen here
-        value = freeze(value)
-        if table not in self._rows:
-            self._rows[table] = {}
-            self._complete[table] = False
-        rows = self._rows[table]
-        row = rows.get(key)
-        previous = None
-        if row is not None and row.versions:
-            _, previous = row.latest()
-        if row is None:
-            row = rows[key] = _VersionedRow()
-        row.append(version, value, now)
-
-        if table == Tables.ENTITIES:
-            self._reindex_entity(previous, value)
-            self._policy.record_access(key)
-            self._maybe_evict()
-        elif table == Tables.GRANTS:
-            self._reindex_grant(key, previous, value)
-
-        if value is None and row.version_count() == 1:
-            # a sole tombstone carries no information; drop it
-            del rows[key]
-            if table == Tables.ENTITIES:
-                self._policy.forget(key)
-
-    def _reindex_entity(self, previous: Optional[dict], value: Optional[dict]) -> None:
-        if previous is not None:
-            old = Entity.from_dict(previous)
-            if old.is_active:
-                self._name_index.pop(self._name_key(old), None)
-                children = self._children.get(old.parent_id or "")
-                if children is not None:
-                    children.discard(old.id)
-                if old.storage_path and self._trie.path_of(old.id) is not None:
-                    self._trie.unregister(old.id)
-        if value is not None:
-            new = Entity.from_dict(value)
-            if new.is_active:
-                self._name_index[self._name_key(new)] = new.id
-                self._children.setdefault(new.parent_id or "", set()).add(new.id)
-                if new.storage_path and new.kind in PATH_GOVERNED_KINDS:
-                    self._trie.register(StoragePath.parse(new.storage_path), new.id)
-
-    def _name_key(self, entity: Entity) -> tuple:
-        manifest = self._registry.maybe_get(entity.kind)
-        group = manifest.namespace_group if manifest else entity.kind.value
-        return (entity.parent_id, group, entity.name)
-
-    def _reindex_grant(
-        self, key: str, previous: Optional[dict], value: Optional[dict]
-    ) -> None:
-        if previous is not None:
-            securable_id = previous["securable_id"]
-            grants = self._grants_index.get(securable_id)
-            if grants is not None:
-                grants.pop(key, None)
-                if not grants:
-                    del self._grants_index[securable_id]
-        if value is not None:
-            grant = PrivilegeGrant.from_dict(value)
-            self._grants_index.setdefault(grant.securable_id, {})[key] = grant
-
-    # -- eviction -----------------------------------------------------------------
-
-    def _maybe_evict(self) -> None:
-        if self._max_entities is None:
-            return
-        rows = self._rows[Tables.ENTITIES]
-        while len(rows) > self._max_entities:
-            victim = self._policy.victim()
-            if victim is None or victim not in rows:
-                if victim is not None:
-                    self._policy.forget(victim)
-                    continue
-                break
-            row = rows.pop(victim)
-            self._policy.forget(victim)
-            _, value = row.latest() if row.versions else (0, None)
-            self._reindex_entity(value, None)
-            self._complete[Tables.ENTITIES] = False
-            self.stats.evictions += 1
-
-    # -- read internals (used by CachedView) -----------------------------------------
-
-    def _get_row(self, table: str, key: str, at: int) -> Optional[dict]:
-        with self._lock:
-            rows = self._rows.get(table, {})
-            row = rows.get(key)
-            if row is not None and row.versions:
-                cutoff = self._clock.now() - self._timeout
-                self.stats.version_prunes += row.prune_superseded(cutoff)
-                value = row.visible(at)
-                self.stats.hits += 1
-                if table == Tables.ENTITIES:
-                    self._policy.record_access(key)
-                return value
-            if self._complete.get(table, False):
-                self.stats.hits += 1
-                return None  # authoritative absence
-            # read-through on miss
-            self.stats.misses += 1
-            snapshot = self._store.snapshot(self.metastore_id, at_version=self.known_version)
-            value = freeze(snapshot.get(table, key))
-            if value is not None:
-                self._apply(table, key, value, self.known_version, self._clock.now())
-            return value
-
-    def _prefetch_rows(self, table: str, keys: list[str]) -> None:
-        """Batch read-through: pull the named keys into the cache with one
-        ``multi_get`` so subsequent ``_get_row`` calls all hit."""
-        with self._lock:
-            if self._complete.get(table, False):
-                return
-            rows = self._rows.get(table, {})
-            missing = [key for key in keys if key not in rows]
-            if not missing:
-                return
-            self.stats.misses += 1
-            snapshot = self._store.snapshot(
-                self.metastore_id, at_version=self.known_version
-            )
-            fetched = snapshot.multi_get(table, missing)
-            now = self._clock.now()
-            for key, value in fetched.items():
-                self._apply(table, key, value, self.known_version, now)
-
-    def _ensure_complete(self, table: str) -> None:
-        with self._lock:
-            if self._complete.get(table, False):
-                return
-            self.stats.misses += 1
-            snapshot = self._store.snapshot(
-                self.metastore_id, at_version=self.known_version
-            )
-            now = self._clock.now()
-            for key, value in snapshot.scan(table):
-                self._apply(table, key, value, self.known_version, now)
-            self._complete[table] = True
-
-    def _scan_latest(self, table: str, at: int) -> list[tuple[str, dict]]:
-        self._ensure_complete(table)
-        with self._lock:
-            out = []
-            for key, row in self._rows.get(table, {}).items():
-                value = row.visible(at)
-                if value is not None:
-                    out.append((key, value))
-            return out
-
-    # locked reads of the derived indexes — CachedView must never walk
-    # an index while a committing thread is re-indexing it
-
-    def _name_lookup(self, key: tuple) -> Optional[str]:
-        with self._lock:
-            return self._name_index.get(key)
-
-    def _children_of(self, parent_id: str) -> set[str]:
-        with self._lock:
-            return set(self._children.get(parent_id, ()))
-
-    def _trie_resolve(self, path: StoragePath) -> Optional[str]:
-        with self._lock:
-            return self._trie.resolve(path)
-
-    def _trie_overlapping(self, path: StoragePath) -> list[str]:
-        with self._lock:
-            return self._trie.find_overlapping(path)
-
-    def _grants_for(self, securable_id: str) -> list[PrivilegeGrant]:
-        with self._lock:
-            return list(self._grants_index.get(securable_id, {}).values())
+    def cached_entities(self) -> int:
+        """Entity rows resident in the copy (what the cap bounds)."""
+        return len(self._policy)
 
     def cached_version_count(self) -> int:
-        """Total cached row versions across all tables (pruning tests)."""
+        """Row versions in the copy, index rows included (pruning bounds it)."""
+        return self._local.row_version_count(self.metastore_id)
+
+    # -- keeping the copy (callers hold self._lock) ------------------------------
+
+    def _drop(self, version: int) -> None:
+        """Start over with an empty copy at ``version``."""
+        self._local = InMemoryMetadataStore()
+        self._local.create_metastore_slot(self.metastore_id)
+        self._local.install(self.metastore_id, version, [])
+        self._head = self._local.snapshot(self.metastore_id)  # shared by views at a version
+        self._since: dict[str, int] = {}  # table -> held whole since version
+        self._trie: Optional[PathTrie] = PathTrie()  # at known_version
+        self.known_version = version
+
+    def _reconcile(self) -> None:
+        self.stats.reconciles += 1
+        if self.reconcile_mode is ReconcileMode.EVICT_ALL:
+            self._drop(self._store.current_version(self.metastore_id))
+            self._policy = type(self._policy)()
+            return
+        snapshot = self._store.snapshot(self.metastore_id)
+        changed: dict[str, set[str]] = {}
+        for c in self._store.changes_since(self.metastore_id, self.known_version):
+            if c.table in _CACHED_TABLES and c.version <= snapshot.version:
+                changed.setdefault(c.table, set()).add(c.key)
+        ops = []
+        for table in sorted(changed):  # one batched read per touched table
+            keys = sorted(changed[table])
+            fetched = snapshot.multi_get(table, keys)
+            ops += [WriteOp(table, key, fetched.get(key)) for key in keys]
+        self._install(snapshot.version, ops)
+        self.stats.selective_invalidations += len(ops)
+        self.known_version = snapshot.version
+
+    def _fill(self, snapshot: Snapshot, table: str) -> bool:
+        """Copy a table (for the tree index, the entities) whole from a DB
+        snapshot at the known version; True if the copy now holds it."""
+        source = Tables.ENTITIES if table == TREE_INDEX else table
+        if source not in _CACHED_TABLES:
+            return False
+        self._since[source] = snapshot.version  # first: an eviction clears it
+        if source == Tables.ENTITIES:
+            self._since.setdefault(TREE_INDEX, snapshot.version)
+        self._install(snapshot.version, [WriteOp(source, k, v) for k, v in snapshot.scan(source)])
+        return table in self._since
+
+    def _install(self, version: int, ops: list[WriteOp]) -> None:
+        """Install the cached tables' ops at ``version``; move paths, evict to the cap."""
+        ops = [op for op in ops if op.table in _CACHED_TABLES]
+        if self._local.install(self.metastore_id, version, ops) and TREE_INDEX in self._since:
+            self._since[TREE_INDEX] = version  # a slot left: older snapshots read the DB's
+        if not self._installs or self._installs[-1][1] != version:
+            self._installs.append((self._clock.now(), version))
+        paths = {}
+        for op in ops:
+            if op.table == Tables.ENTITIES:
+                paths[op.key] = governed_path(op.value)
+                track = self._policy.forget if op.value is None else self._policy.record_access
+                track(op.key)
+        try:
+            if self._trie is not None:
+                self._trie.move(paths)
+        except PathConflictError:
+            self._trie = None  # overlapping paths committed: scan instead
+        while self._max_entities is not None and len(self._policy) > self._max_entities:
+            victim = self._policy.victim()
+            self._policy.forget(victim)
+            self._since.pop(Tables.ENTITIES, None)
+            self._local.drop_row(self.metastore_id, Tables.ENTITIES, victim)
+            self.stats.evictions += 1
+
+    def _prune(self) -> None:
+        """At most once per request timeout, compact the copy up to the newest
+        version installed a timeout ago: no request can be pinned before it."""
+        now = self._clock.now()
+        if now - self._pruned_at < self._timeout:
+            return
+        self._pruned_at, floor = now, None
+        while self._installs and now - self._installs[0][0] >= self._timeout:
+            floor = self._installs.popleft()[1]
+        if floor is not None:
+            self.stats.version_prunes += self._local.compact(self.metastore_id, floor)
+            # a compacted key may start at the floor: older reads go through
+            self._since = {table: max(since, floor) for table, since in self._since.items()}
+
+    def _whole(self, table: str, snapshot: _NodeSnapshot) -> bool:
+        """Whether the snapshot's copy is still the node's and holds ``table`` whole."""
+        return snapshot.copy is self._local and self._since.get(table, _NEVER) <= snapshot.version
+
+    def _rows(self, table: str, keys: list[str], snapshot: _NodeSnapshot,
+              fetch: Callable[[Snapshot, list[str]], dict]) -> dict[str, dict]:
+        """Point reads: the copy where authoritative, one DB ``fetch`` for the rest."""
+        at = snapshot.version
         with self._lock:
-            return sum(
-                row.version_count()
-                for rows in self._rows.values()
-                for row in rows.values()
-            )
+            # a key the copy never held is absent if it holds the table whole
+            absent = None if self._whole(table, snapshot) else _UNKNOWN
+            values, missing = {}, []
+            for key in keys:
+                value = values[key] = snapshot.local.get(table, key, absent)
+                if value is _UNKNOWN:
+                    missing.append(key)
+                elif value is not None and table == Tables.ENTITIES:
+                    self._policy.record_access(key)
+            self.stats.hits += len(values) - len(missing)
+            if missing:
+                self.stats.misses += 1
+                fetched = fetch(self._store.snapshot(self.metastore_id, at), missing)
+                values.update((key, fetched.get(key)) for key in missing)
+                if at == self.known_version:
+                    self._install(at, [WriteOp(table, k, v) for k, v in fetched.items()
+                                       if v is not None])
+            return {key: value for key, value in values.items() if value is not None}
+
+    def _read(self, table: str, snapshot: _NodeSnapshot, read: Callable[[Snapshot], Any]) -> Any:
+        """A scan or range read: the copy where it holds the table, or after
+        one DB scan fills it at the known version; else the DB."""
+        with self._lock:
+            if self._whole(table, snapshot):
+                self.stats.hits += 1
+                return read(snapshot.local)
+            self.stats.misses += 1
+            db = self._store.snapshot(self.metastore_id, snapshot.version)
+            if snapshot.version == self.known_version and self._fill(db, table):
+                return read(self._local.snapshot(self.metastore_id))
+            return read(db)
+
+    def _path_read(self, snapshot: _NodeSnapshot, read: Callable[[PathTrie], Any]) -> Any:
+        """A path read: the node's trie at the known version, else the snapshot's scan."""
+        with self._lock:
+            if (self._trie is not None and snapshot.version == self.known_version
+                    and self._whole(TREE_INDEX, snapshot)):
+                return read(self._trie)
+        return read(snapshot._path_trie())
 
 
-class CachedView(MetastoreView):
-    """A read view over a cache node, pinned at one metastore version."""
+class _NodeSnapshot(Snapshot):
+    """A node's snapshot: its copy (kept if the node drops it) where authoritative, else the DB."""
 
-    def __init__(self, node: MetastoreCacheNode, version: int):
-        self._node = node
-        self._version = version
+    def __init__(self, node: MetastoreCacheNode, copy: InMemoryMetadataStore, local: Snapshot):
+        super().__init__(node.metastore_id, local.version)
+        self._node, self.copy, self.local = node, copy, local
 
-    @property
-    def version(self) -> int:
-        return self._version
+    def get(self, table: str, key: str) -> Optional[dict]:
+        return self._node._rows(table, [key], self,
+                                lambda s, _: {key: s.get(table, key)}).get(key)
 
-    def entity_by_id(self, entity_id: str) -> Optional[Entity]:
-        value = self._node._get_row(Tables.ENTITIES, entity_id, self._version)
-        if value is None:
-            return None
-        entity = Entity.from_dict(value)
-        return entity if entity.is_active else None
+    def multi_get(self, table: str, keys: list[str]) -> dict[str, dict]:
+        return self._node._rows(table, keys, self,
+                                lambda s, missing: s.multi_get(table, missing))
 
-    def entity_by_name(
-        self, parent_id: Optional[str], namespace_group: str, name: str
-    ) -> Optional[Entity]:
-        self._node._ensure_complete(Tables.ENTITIES)
-        entity_id = self._node._name_lookup((parent_id, namespace_group, name))
-        if entity_id is not None:
-            entity = self.entity_by_id(entity_id)
-            if (
-                entity is not None
-                and entity.name == name
-                and entity.parent_id == parent_id
-            ):
-                return entity
-        # the latest-version index missed (pinned older version); fall back
-        if entity_id is None and self._version == self._node.known_version:
-            return None
-        for key, value in self._node._scan_latest(Tables.ENTITIES, self._version):
-            entity = Entity.from_dict(value)
-            if (
-                entity.is_active
-                and entity.parent_id == parent_id
-                and entity.name == name
-                and self._group_of(entity) == namespace_group
-            ):
-                return entity
-        return None
+    def scan(self, table: str):
+        return self._node._read(table, self, lambda s: s.scan(table))
 
-    def _group_of(self, entity: Entity) -> str:
-        manifest = self._node._registry.maybe_get(entity.kind)
-        return manifest.namespace_group if manifest else entity.kind.value
+    def scan_range(self, table: str, start: str, end: Optional[str]):
+        return self._node._read(table, self, lambda s: s.scan_range(table, start, end))
 
-    def children(
-        self, parent_id: str, kind: Optional[SecurableKind] = None
-    ) -> list[Entity]:
-        self._node._ensure_complete(Tables.ENTITIES)
-        child_ids = self._node._children_of(parent_id)
-        out = []
-        for child_id in child_ids:
-            entity = self.entity_by_id(child_id)
-            if entity is not None and entity.parent_id == parent_id:
-                if kind is None or entity.kind is kind:
-                    out.append(entity)
-        return sorted(out, key=lambda e: e.name)
+    def children_ids(self, parent_id, kind=None, include_deleted=False) -> list[str]:
+        source = self._node._store.snapshot(self.metastore_id, self.version) \
+            if include_deleted else super()  # the copy indexes live slots only
+        return source.children_ids(parent_id, kind, include_deleted)
 
-    def entities(self, kind: Optional[SecurableKind] = None) -> Iterator[Entity]:
-        for key, value in self._node._scan_latest(Tables.ENTITIES, self._version):
-            entity = Entity.from_dict(value)
-            if entity.is_active and (kind is None or entity.kind is kind):
-                yield entity
+    def path_owner(self, path: StoragePath) -> Optional[str]:
+        return self._node._path_read(self, lambda trie: trie.resolve(path))
 
-    def resolve_path(self, path: StoragePath) -> Optional[Entity]:
-        self._node._ensure_complete(Tables.ENTITIES)
-        asset_id = self._node._trie_resolve(path)
-        return self.entity_by_id(asset_id) if asset_id else None
-
-    def overlapping_assets(self, path: StoragePath) -> list[str]:
-        self._node._ensure_complete(Tables.ENTITIES)
-        return self._node._trie_overlapping(path)
-
-    def grants_on(self, securable_id: str) -> list[PrivilegeGrant]:
-        self._node._ensure_complete(Tables.GRANTS)
-        return self._node._grants_for(securable_id)
-
-    def prefetch_rows(self, table: str, keys: list[str]) -> None:
-        self._node._prefetch_rows(table, keys)
-
-    def row(self, table: str, key: str) -> Optional[dict]:
-        return self._node._get_row(table, key, self._version)
-
-    def rows(self, table: str) -> Iterator[tuple[str, dict]]:
-        return iter(self._node._scan_latest(table, self._version))
+    def overlapping_paths(self, path: StoragePath) -> list[str]:
+        return self._node._path_read(self, lambda trie: trie.find_overlapping(path))

@@ -26,6 +26,18 @@ PATH_GOVERNED_KINDS = frozenset(
     {SecurableKind.TABLE, SecurableKind.VOLUME, SecurableKind.REGISTERED_MODEL}
 )
 
+_GOVERNED_KIND_NAMES = frozenset(kind.value for kind in PATH_GOVERNED_KINDS)
+
+
+def governed_path(row: Optional[dict]) -> Optional[StoragePath]:
+    """The storage path an entity row registers in the trie: an active,
+    path-governed asset's, else None."""
+    if (row is None or row.get("state", "ACTIVE") != "ACTIVE"
+            or row.get("kind") not in _GOVERNED_KIND_NAMES
+            or not row.get("storage_path")):
+        return None
+    return StoragePath.parse(row["storage_path"])
+
 
 @dataclass
 class _TrieNode:
@@ -109,6 +121,18 @@ class PathTrie:
                 del parent.children[segment]
             else:
                 break
+
+    def move(self, paths: dict[str, Optional[StoragePath]]) -> None:
+        """Re-register each asset whose path differs from ``paths[id]``
+        (None: no path); every old path goes before any new one comes, so
+        a batch may swap paths."""
+        moved = [(a, p) for a, p in paths.items() if self._paths.get(a) != p]
+        for asset_id, _ in moved:
+            if asset_id in self._paths:
+                self.unregister(asset_id)
+        for asset_id, path in moved:
+            if path is not None:
+                self.register(path, asset_id)
 
     def path_of(self, asset_id: str) -> Optional[StoragePath]:
         return self._paths.get(asset_id)

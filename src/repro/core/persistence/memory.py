@@ -50,12 +50,14 @@ from repro.errors import (
 _NO_ROWS: dict = {}
 
 
-def _visible(versions: list[tuple[int, Optional[dict]]], at: int) -> Optional[dict]:
-    """Newest value committed at or before ``at`` (None if deleted/absent)."""
+def _visible(versions: list[tuple[int, Optional[dict]]], at: int,
+             default: Any = None) -> Optional[dict]:
+    """Newest value committed at or before ``at`` (None if deleted), or
+    ``default`` if the key has no version that old."""
     for version, value in reversed(versions):
         if version <= at:
             return value
-    return None
+    return default
 
 
 class _Table(dict):
@@ -76,6 +78,14 @@ class _Table(dict):
             versions = self[key] = []
             insort(self.ordered, key)
         versions.append((version, value))
+
+    def drop(self, key: str) -> Optional[dict]:
+        """Forget every version of ``key``; returns its newest value."""
+        versions = self.pop(key, None)
+        if versions is None:
+            return None
+        del self.ordered[bisect_left(self.ordered, key)]
+        return versions[-1][1]
 
     def range_keys(self, start: str, end: Optional[str]) -> list[str]:
         """Keys in ``[start, end)``, ascending; ``end=None`` is unbounded."""
@@ -114,6 +124,9 @@ class _Slot:
     tables: dict[str, _Table] = field(default_factory=dict)
     changelog: list[ChangeRecord] = field(default_factory=list)
     lock: threading.RLock = field(default_factory=threading.RLock)
+    #: entity id -> the fields of a dropped entity's newest row that its
+    #: tree-index slot derives from, until an op on it moves the slot
+    evicted: dict[str, dict] = field(default_factory=dict)
 
     def table(self, name: str) -> _Table:
         table = self.tables.get(name)
@@ -134,12 +147,15 @@ class _MemorySnapshot(Snapshot):
         self._slot = slot
         self._store = store
 
-    def get(self, table: str, key: str) -> Optional[dict[str, Any]]:
+    def get(self, table: str, key: str, default: Any = None) -> Optional[dict[str, Any]]:
+        """The row visible at this snapshot: None if deleted, ``default``
+        if the key has no version this old (never written, or written
+        only after this snapshot)."""
         with self._slot.lock:
             versions = self._slot.tables.get(table, _NO_ROWS).get(key)
             if not versions:
-                return None
-            return _visible(versions, self.version)
+                return default
+            return _visible(versions, self.version, default)
 
     def multi_get(self, table: str, keys: list[str]) -> dict[str, dict[str, Any]]:
         out: dict[str, dict[str, Any]] = {}
@@ -255,31 +271,67 @@ class InMemoryMetadataStore(MetadataStore):
                     f"found {slot.version}"
                 )
             new_version = expected_version + 1
-            entities = slot.read_table(Tables.ENTITIES)
-
-            def previous(key: str) -> Optional[dict]:
-                versions = entities.get(key)
-                return versions[-1][1] if versions else None
-
-            index = tree_index_rows(ops, previous)
-            for op in ops:
-                slot.table(op.table).append(op.key, new_version, freeze(op.value))
-                slot.changelog.append(
-                    ChangeRecord(
-                        version=new_version,
-                        table=op.table,
-                        key=op.key,
-                        deleted=op.value is None,
-                    )
-                )
-            # index rows are versioned like everything else, but stay
-            # out of the change log: a replica rebuilds them from the ops
-            # it replays through its own commit()
-            for table, key, value in index:
-                slot.table(table).append(key, new_version, value)
-            slot.version = new_version
+            self._install(slot, new_version, ops)
+            slot.changelog.extend(
+                ChangeRecord(version=new_version, table=op.table, key=op.key,
+                             deleted=op.value is None)
+                for op in ops
+            )
             self.commit_count += 1
             return new_version
+
+    def install(self, metastore_id: str, version: int, ops: list[WriteOp]) -> bool:
+        """Apply ``ops`` at ``version``, with no version check and no
+        change-log entry: how a cache node copies rows it knows were
+        committed at ``version`` into its local store. ``version`` must
+        not be older than the slot's.
+
+        Such a copy's tree index keeps live slots only, all that a name
+        lookup or a listing reads: a slot the ops vacate or soft-delete
+        leaves it with its history, and ``install`` returns True (the
+        index then holds no version before ``version``)."""
+        slot = self._slot(metastore_id)
+        with slot.lock:
+            final = {key: row for _, key, row in self._install(slot, version, ops)}
+            dead = [key for key, row in final.items()
+                    if row is None or row["state"] != "ACTIVE"]
+            for key in dead:
+                slot.table(TREE_INDEX).drop(key)
+            return bool(dead)
+
+    @staticmethod
+    def _install(slot: _Slot, version: int,
+                 ops: list[WriteOp]) -> list[tuple[str, str, Optional[dict]]]:
+        """Append ``ops`` and the tree-index rows they imply at
+        ``version`` (call under the slot lock); returns those rows."""
+        entities = slot.read_table(Tables.ENTITIES)
+
+        def previous(key: str) -> Optional[dict]:
+            versions = entities.get(key)
+            return versions[-1][1] if versions else slot.evicted.pop(key, None)
+
+        index = tree_index_rows(ops, previous)
+        for op in ops:
+            slot.table(op.table).append(op.key, version, freeze(op.value))
+        # index rows are versioned like everything else, but stay out of
+        # the change log: a replica rebuilds them from the ops it replays
+        # through its own commit()
+        for table, key, value in index:
+            slot.table(table).append(key, version, value)
+        slot.version = version
+        return index
+
+    def drop_row(self, metastore_id: str, table: str, key: str) -> Optional[dict]:
+        """Forget every version of one row (a cache evicting it); returns
+        its newest value. An entity's tree-index slot stays, and the next
+        op on the entity still moves it."""
+        slot = self._slot(metastore_id)
+        with slot.lock:
+            value = slot.read_table(table).drop(key)
+            if table == Tables.ENTITIES and value is not None:
+                slot.evicted[key] = {name: value.get(name) for name in
+                                     ("id", "kind", "name", "parent_id", "state")}
+            return value
 
     def changes_since(self, metastore_id: str, from_version: int) -> list[ChangeRecord]:
         slot = self._slot(metastore_id)

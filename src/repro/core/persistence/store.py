@@ -6,7 +6,9 @@ import abc
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
+from repro.cloudstore.object_store import StoragePath
 from repro.core.frozen import FrozenRow, freeze
+from repro.core.paths import PathTrie, governed_path
 from repro.errors import NotFoundError
 
 
@@ -154,6 +156,7 @@ class Snapshot(abc.ABC):
     def __init__(self, metastore_id: str, version: int):
         self.metastore_id = metastore_id
         self.version = version
+        self._trie: Optional[PathTrie] = None
 
     @abc.abstractmethod
     def get(self, table: str, key: str) -> Optional[dict[str, Any]]:
@@ -264,6 +267,29 @@ class Snapshot(abc.ABC):
             1 for entry in self._index_entries(parent_id, kind)
             if entry["state"] == "ACTIVE"
         )
+
+    # -- path reads (the one-asset-per-path trie) --------------------------------
+
+    def _path_trie(self) -> PathTrie:
+        """The trie of the asset paths live at this snapshot: one entity
+        scan, the first time a path read needs it (snapshots are
+        immutable)."""
+        if self._trie is None:
+            trie = PathTrie()
+            for key, value in self.scan(Tables.ENTITIES):
+                path = governed_path(value)
+                if path is not None:
+                    trie.register(path, key)
+            self._trie = trie
+        return self._trie
+
+    def path_owner(self, path: StoragePath) -> Optional[str]:
+        """Id of the asset whose storage path equals or contains ``path``."""
+        return self._path_trie().resolve(path)
+
+    def overlapping_paths(self, path: StoragePath) -> list[str]:
+        """Ids of the assets whose storage paths overlap ``path``."""
+        return self._path_trie().find_overlapping(path)
 
 
 class MetadataStore(abc.ABC):

@@ -233,6 +233,10 @@ class ServiceKernel:
             yield ("uc_cache_hit_rate", labels, stats.hit_rate)
             yield ("uc_cache_version_checks_total", labels, stats.version_checks)
             yield ("uc_cache_reconciles_total", labels, stats.reconciles)
+            yield ("uc_cache_node_entries", {"metastore": name},
+                   node.cached_entities())
+            yield ("uc_cache_node_row_versions", {"metastore": name},
+                   node.cached_version_count())
 
         self.obs.metrics.register_collector(collect)
 
@@ -318,7 +322,6 @@ class ServiceKernel:
                 node = MetastoreCacheNode(
                     self.store,
                     metastore_id,
-                    self.registry,
                     clock=self.clock,
                     reconcile_mode=self._reconcile_mode,
                     eviction_policy=policy,
@@ -465,7 +468,7 @@ class ServiceKernel:
             if node is None:
                 node = self._attach(metastore_id)
             if node is not None:
-                return node.view(check_version=self._read_version_check)
+                return SnapshotView(node.view(self._read_version_check), self.registry)
             return SnapshotView(self.store.snapshot(metastore_id), self.registry)
         view = SnapshotView(self.raw_snapshot(metastore_id), self.registry)
         view.branch = branch

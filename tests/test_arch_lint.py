@@ -159,6 +159,29 @@ def test_concurrency_allowlist_entries_all_name_real_methods():
     assert stale == set()
 
 
+def test_planted_stale_allowlist_entries_are_flagged(monkeypatch):
+    """Rules 4 and 5 fail on an exemption that names nothing."""
+    monkeypatch.setitem(arch_lint.CONCURRENCY_ALLOWLIST,
+                        "repro.core.cache.node:MetastoreCacheNode._gone",
+                        "a method that no longer exists")
+    monkeypatch.setitem(arch_lint.RAW_VERSION_ALLOWLIST,
+                        "repro.core.service.kernel:ServiceKernel._gone",
+                        "a method that no longer exists")
+    errors = arch_lint.check_concurrency_guards()
+    assert [e for e in errors if "allowlist entry" in e] == [
+        "tools/arch_lint.py: rule 4 allowlist entry "
+        "'repro.core.cache.node:MetastoreCacheNode._gone' names no existing "
+        "module, class or method — delete it"
+    ]
+    errors = arch_lint.check_branch_version_gates()
+    assert [e for e in errors if "allowlist entry" in e] == [
+        "tools/arch_lint.py: rule 5 allowlist entry "
+        "'repro.core.service.kernel:ServiceKernel._gone' names no existing "
+        "module, class or method — delete it"
+    ]
+    assert len(arch_lint.run()) == 2
+
+
 def test_receiver_mentions_store_matches_store_chains():
     def recv(source: str) -> ast.expr:
         call = ast.parse(source).body[0].value

@@ -175,13 +175,13 @@ def test_cache_node_rows_are_immutable():
     mid = service.create_metastore("main", owner="alice").id
     catalog = service.create_securable(mid, "alice", SecurableKind.CATALOG, "c")
     node = service.cache_node(mid)
-    row = node.view().row(Tables.ENTITIES, catalog.id)
+    row = node.view().get(Tables.ENTITIES, catalog.id)
     original = thaw(row)
     for mutate in (MUTATIONS["set"], MUTATIONS["spec-set"],
                    MUTATIONS["properties-set"]):
         with pytest.raises(TypeError):
             mutate(row)
-    assert node.view().row(Tables.ENTITIES, catalog.id) == original
+    assert node.view().get(Tables.ENTITIES, catalog.id) == original
     with pytest.raises(TypeError):
         service.get_securable(mid, "alice", SecurableKind.CATALOG,
                               "c").spec["x"] = 1
@@ -246,18 +246,22 @@ class TestDecodeOnce:
         catalog = service.create_securable(
             mid, "alice", SecurableKind.CATALOG, "c", comment="old")
         node = service.cache_node(mid)
+
+        def entity(snapshot):
+            return Entity.from_dict(snapshot.get(Tables.ENTITIES, catalog.id))
+
         pinned = node.view()
-        before = pinned.entity_by_id(catalog.id)
-        assert pinned.entity_by_id(catalog.id) is before
-        assert node.view().entity_by_id(catalog.id) is before
+        before = entity(pinned)
+        assert entity(pinned) is before
+        assert entity(node.view()) is before
 
         service.update_securable(mid, "alice", SecurableKind.CATALOG, "c",
                                  comment="new")
-        after = node.view().entity_by_id(catalog.id)
+        after = entity(node.view())
         assert after.comment == "new" and after is not before
-        assert node.view().entity_by_id(catalog.id) is after
-        # a view pinned before the update still sees the old version
-        assert pinned.entity_by_id(catalog.id) is before
+        assert entity(node.view()) is after
+        # a snapshot pinned before the update still sees the old version
+        assert entity(pinned) is before
         assert before.comment == "old"
 
     def test_sqlite_rows_decode_fresh(self, tmp_path):

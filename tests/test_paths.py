@@ -103,6 +103,17 @@ class TestPathTrie:
             "a1": "s3://b/t"
         }
 
+    def test_move_swaps_paths_in_one_batch(self):
+        trie = PathTrie()
+        trie.register(p("s3://b/x"), "a1")
+        trie.register(p("s3://b/y"), "a2")
+        trie.move({"a1": p("s3://b/y"), "a2": p("s3://b/x"), "a3": p("s3://b/z")})
+        assert [trie.resolve(p(f"s3://b/{k}")) for k in "xyz"] == ["a2", "a1", "a3"]
+        trie.move({"a1": None, "a2": p("s3://b/x")})  # out, and unchanged
+        assert trie.path_of("a1") is None and trie.resolve(p("s3://b/x/f")) == "a2"
+        with pytest.raises(PathConflictError):
+            trie.move({"a2": p("s3://b/z/inner")})
+
 
 # -- property-based: the invariant itself ------------------------------------
 

@@ -28,7 +28,9 @@ The parallel serving tier added a concurrency rule:
    ``with self._lock:`` on a declared ``_lock`` attribute. Helpers
    that run entirely under a caller's lock are exempted by the
    explicit allowlist below — adding to it is a code-review decision,
-   not a convenience.
+   not a convenience. An entry that names no existing method is itself
+   a violation: a stale exemption would silently cover a new method
+   that reuses its name.
 
 The branching refactor added a version-resolution rule:
 
@@ -42,7 +44,7 @@ The branching refactor added a version-resolution rule:
    ``resolve_head``. Version-machinery internals (replication,
    rebalancing exports, the trunk cache node) are exempted by the
    explicit allowlist below — they move raw stores, overlay rows
-   included, by design.
+   included, by design. As with rule 4, a stale entry is a violation.
 
 The frozen-row change added a row-ownership rule:
 
@@ -89,6 +91,36 @@ def _parse(path: Path) -> ast.Module:
 def _module_name(path: Path) -> str:
     relative = path.relative_to(REPO / "src").with_suffix("")
     return ".".join(relative.parts)
+
+
+def defined_names(packages) -> set[str]:
+    """Every ``module``, ``module:function`` and ``module:Class.method``
+    defined directly under ``packages``: what an allowlist entry may name."""
+    known: set[str] = set()
+    for package in packages:
+        for path in sorted(package.glob("*.py")):
+            module = _module_name(path)
+            known.add(module)
+            for top in _parse(path).body:
+                if isinstance(top, ast.ClassDef):
+                    known.update(
+                        f"{module}:{top.name}.{node.name}" for node in top.body
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    )
+                elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    known.add(f"{module}:{top.name}")
+    return known
+
+
+def stale_entries(allowlist: dict[str, str], packages, rule: int) -> list[str]:
+    """One violation per allowlist entry that names nothing under
+    ``packages``."""
+    known = defined_names(packages)
+    return [
+        f"tools/arch_lint.py: rule {rule} allowlist entry {entry!r} names no "
+        "existing module, class or method — delete it"
+        for entry in sorted(allowlist) if entry not in known
+    ]
 
 
 def imported_modules(tree: ast.Module, importer: str) -> set[str]:
@@ -264,22 +296,18 @@ CONCURRENCY_ALLOWLIST: dict[str, str] = {
         "driven by MetastoreCacheNode under the node RLock",
     "repro.core.cache.eviction:LfuPolicy.forget":
         "driven by MetastoreCacheNode under the node RLock",
-    # MetastoreCacheNode internals: every public entry point takes the
-    # node RLock before reaching these helpers.
-    "repro.core.cache.node:_VersionedRow.append":
-        "rows are private to a node; mutated only in _apply under RLock",
+    # MetastoreCacheNode internals: every public entry point (view,
+    # commit, warm, reconcile and the snapshot reads) takes the node
+    # RLock before reaching these helpers.
     "repro.core.cache.node:MetastoreCacheNode._reconcile":
-        "called from view()/commit()/reconcile() inside self._lock",
-    "repro.core.cache.node:MetastoreCacheNode._evict_all":
-        "called from _reconcile inside self._lock",
-    "repro.core.cache.node:MetastoreCacheNode._apply":
-        "write-through helper; all call sites hold self._lock",
-    "repro.core.cache.node:MetastoreCacheNode._reindex_entity":
-        "called from _apply/_maybe_evict inside self._lock",
-    "repro.core.cache.node:MetastoreCacheNode._reindex_grant":
-        "called from _apply inside self._lock",
-    "repro.core.cache.node:MetastoreCacheNode._maybe_evict":
-        "called from _apply inside self._lock",
+        "called from view()/commit()/reconcile() inside the node RLock",
+    "repro.core.cache.node:MetastoreCacheNode._fill":
+        "called from warm()/_read() inside the node RLock",
+    "repro.core.cache.node:MetastoreCacheNode._install":
+        "called from commit()/_reconcile()/_fill()/_rows() inside "
+        "the node RLock",
+    "repro.core.cache.node:MetastoreCacheNode._prune":
+        "called from view() inside the node RLock",
     "repro.core.cache.ttl:TtlCache._reap":
         "called from put() inside self._lock",
     "repro.core.cluster.twophase:TwoPhaseCoordinator._release":
@@ -396,7 +424,7 @@ def _unguarded_mutations(method: ast.FunctionDef) -> list[tuple[int, str]]:
 
 def check_concurrency_guards() -> list[str]:
     """Rule 4: cache/cluster instance state only mutates under _lock."""
-    errors = []
+    errors = stale_entries(CONCURRENCY_ALLOWLIST, CONCURRENT_PACKAGES, 4)
     for package in CONCURRENT_PACKAGES:
         for path in sorted(package.glob("*.py")):
             module = _module_name(path)
@@ -483,7 +511,7 @@ def _receiver_mentions_store(node: ast.expr) -> bool:
 
 def check_branch_version_gates() -> list[str]:
     """Rule 5: no raw head-version reads above the persistence layer."""
-    errors = []
+    errors = stale_entries(RAW_VERSION_ALLOWLIST, VERSION_GATED_PACKAGES, 5)
     seen: set[Path] = set()
     for package in VERSION_GATED_PACKAGES:
         for path in sorted(package.glob("*.py")):
