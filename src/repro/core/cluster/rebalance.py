@@ -153,8 +153,7 @@ class CatalogMigration:
             self._first = export_subtree(source.service.store, mid, root_id)
 
             def build(view):
-                ops = [WriteOp.put(t, k, v) for t, k, v in self._first.rows]
-                return ops, None, []
+                return [WriteOp.put(t, k, v) for t, k, v in self._first.rows], None
 
             target.service._mutate(mid, build)
             self.state = COPIED
@@ -186,7 +185,7 @@ class CatalogMigration:
             def build(view):
                 ops = [WriteOp.put(t, k, v) for t, k, v in self._second.rows]
                 ops.extend(WriteOp.delete(t, k) for t, k in sorted(vanished))
-                return ops, None, []
+                return ops, None
 
             target.service._mutate(mid, build)
             cluster.router.pin(mid, self.catalog_name, self.target_name)
@@ -205,7 +204,7 @@ class CatalogMigration:
             stale = sorted(self._second.keys())
 
             def build(view):
-                return [WriteOp.delete(t, k) for t, k in stale], None, []
+                return [WriteOp.delete(t, k) for t, k in stale], None
 
             source.service._mutate(mid, build)
             self.state = DONE

@@ -23,7 +23,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.events import ChangeType
 from repro.core.model.entity import Entity, SecurableKind
 from repro.core.model.naming import validate_identifier
 from repro.core.persistence.store import Tables, WriteOp
@@ -323,11 +322,7 @@ class CatalogMove:
                 raise AlreadyExistsError(f"catalog already exists: {new_name}")
             renamed = entity.with_updates(updated_at=svc.clock.now(),
                                           name=new_name)
-            ops = [WriteOp.put(Tables.ENTITIES, entity.id, renamed.to_row())]
-            events = [(ChangeType.UPDATED, entity.id,
-                       SecurableKind.CATALOG.value, new_name,
-                       {"renamed_from": name})]
-            return ops, renamed, events
+            return [WriteOp.put(Tables.ENTITIES, entity.id, renamed.to_row())], renamed
 
         return svc._mutate(mid, build)
 
@@ -352,17 +347,12 @@ class CatalogMove:
                 raise AlreadyExistsError(
                     f"catalog already exists: {self.new_name}"
                 )
-            ops = [WriteOp.put(t, k, v) for t, k, v in rows]
-            events = [(ChangeType.UPDATED, self._entity_id,
-                       SecurableKind.CATALOG.value, self.new_name,
-                       {"renamed_from": self.name, "moved_from": source.name})]
-            return ops, Entity.from_dict(renamed_value), events
+            return [WriteOp.put(t, k, v) for t, k, v in rows], Entity.from_dict(renamed_value)
 
         result = target.service._mutate(mid, build_import)
 
         def build_delete(view):
-            ops = [WriteOp.delete(t, k) for t, k, _ in export.rows]
-            return ops, None, []
+            return [WriteOp.delete(t, k) for t, k, _ in export.rows], None
 
         try:
             source.service._mutate(mid, build_delete)
@@ -374,8 +364,7 @@ class CatalogMove:
             # only after both legs land), so the catalog stays fully
             # usable under its old name and the abort is clean.
             def build_undo(view):
-                ops = [WriteOp.delete(t, k) for t, k, _ in rows]
-                return ops, None, []
+                return [WriteOp.delete(t, k) for t, k, _ in rows], None
 
             target.service._mutate(mid, build_undo)
             raise

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import json
 import threading
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.core.frozen import freeze
@@ -48,6 +49,9 @@ from repro.errors import (
 )
 
 _NO_ROWS: dict = {}
+
+#: the change log is ordered by version, so a cursor is a bisect
+_version_of = attrgetter("version")
 
 
 def _visible(versions: list[tuple[int, Optional[dict]]], at: int,
@@ -336,13 +340,13 @@ class InMemoryMetadataStore(MetadataStore):
     def changes_since(self, metastore_id: str, from_version: int) -> list[ChangeRecord]:
         slot = self._slot(metastore_id)
         with slot.lock:
-            return [c for c in slot.changelog if c.version > from_version]
+            return slot.changelog[bisect_right(slot.changelog, from_version, key=_version_of):]
 
     def compact(self, metastore_id: str, min_version: int) -> int:
         slot = self._slot(metastore_id)
         with slot.lock:
             removed = sum(t.compact(min_version) for t in slot.tables.values())
-            slot.changelog = [c for c in slot.changelog if c.version > min_version]
+            del slot.changelog[:bisect_right(slot.changelog, min_version, key=_version_of)]
         return removed
 
     # -- diagnostics ----------------------------------------------------------

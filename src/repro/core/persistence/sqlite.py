@@ -314,10 +314,11 @@ class SqliteMetadataStore(MetadataStore):
             (metastore_id,),
         )
         since = max(from_version, int(floor[0]) if floor else 0)
-        # index rows are derived state: a replica regenerates them
+        # index rows are derived state: a replica regenerates them; a
+        # commit inserts its rows in op order, so rowid keeps that order
         rows = self._query_all(
             "SELECT version, tbl, key, value IS NULL FROM rows"
-            " WHERE metastore_id=? AND version>? AND tbl<>? ORDER BY version",
+            " WHERE metastore_id=? AND version>? AND tbl<>? ORDER BY version, rowid",
             (metastore_id, since, TREE_INDEX),
         )
         return [

@@ -116,6 +116,11 @@ def index_row(value: Optional[dict[str, Any]]) -> Optional[tuple[str, dict]]:
     )
 
 
+#: the fields an entity row's index slot derives from (``index_row``)
+_SLOT_FIELDS = ("id", "kind", "name", "parent_id", "state")
+_ABSENT = object()
+
+
 def tree_index_rows(
     ops: Iterable[WriteOp], previous: Callable[[str], Optional[dict[str, Any]]]
 ) -> list[tuple[str, str, Optional[dict]]]:
@@ -126,9 +131,9 @@ def tree_index_rows(
     version occupied (if the slot moved — rename, reparent, hard delete)
     and write the slot its new version occupies, unless the slot and its
     state are unchanged (a comment or spec edit writes no index row: the
-    earlier identical version stays visible). ``previous(key)`` reads an
-    entity's pre-commit row; earlier ops in the same batch take
-    precedence over it.
+    earlier identical version stays visible, and neither slot is built).
+    ``previous(key)`` reads an entity's pre-commit row; earlier ops in
+    the same batch take precedence over it.
     """
     rows: list[tuple[str, str, Optional[dict]]] = []
     pending: dict[str, Optional[dict[str, Any]]] = {}
@@ -137,6 +142,9 @@ def tree_index_rows(
             continue
         before = pending[op.key] if op.key in pending else previous(op.key)
         pending[op.key] = op.value
+        if before is not None and op.value is not None and all(
+                before.get(f, _ABSENT) == op.value.get(f, _ABSENT) for f in _SLOT_FIELDS):
+            continue  # same slot fields, each present in both or neither
         old, new = index_row(before), index_row(op.value)
         if old is not None and (new is None or old[0] != new[0]):
             rows.append((TREE_INDEX, old[0], None))

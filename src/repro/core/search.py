@@ -66,6 +66,10 @@ class SearchService:
         events = self._service.events.poll(metastore_id, self._consumer)
         for event in events:
             self.events_processed += 1
+            if event.branch is not None:
+                # the index covers the trunk: a branch's rows reach it
+                # when a merge writes them there
+                continue
             if event.change in (ChangeType.DELETED, ChangeType.PURGED):
                 self._remove(metastore_id, event.securable_id)
             else:

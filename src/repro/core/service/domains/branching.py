@@ -22,9 +22,8 @@ failover exactly like ordinary writes.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-from repro.core.events import ChangeType
 from repro.core.model.entity import SecurableKind
 from repro.core.persistence import branching as br
 from repro.core.persistence.store import WriteOp
@@ -41,11 +40,6 @@ from repro.errors import (
     InvalidRequestError,
     MergeConflictError,
 )
-
-#: the securable-kind string branch events carry (branches are refs, not
-#: entities, so they have no SecurableKind of their own)
-_BRANCH_KIND = "BRANCH"
-
 
 def _require_trunk(ctx) -> None:
     """Branch lifecycle ops address branches by name from the trunk —
@@ -102,12 +96,7 @@ def create_branch(svc, ctx) -> dict[str, Any]:
             head_version=view.version,
             created_at=svc.clock.now(),
         )
-        ops = [WriteOp.put(br.BRANCHES_TABLE, bkey, ref.to_dict())]
-        events = [
-            (ChangeType.CREATED, entity.id, _BRANCH_KIND, bkey,
-             {"fork_version": ref.fork_version})
-        ]
-        return ops, ref.to_dict(), events
+        return [WriteOp.put(br.BRANCHES_TABLE, bkey, ref.to_dict())], ref.to_dict()
 
     return svc._mutate(metastore_id, build)
 
@@ -175,17 +164,12 @@ def merge_branch(svc, ctx) -> dict[str, Any]:
                 f"securable {name!r} ({table}/{key}) since the fork",
                 conflicts=described,
             )
-        ops = br.merge_ops(diff)
         result = {
             "branch": bkey,
             "merged_changes": len(diff.overlay),
             "fork_version": diff.ref.fork_version,
         }
-        events = [
-            (ChangeType.UPDATED, entity.id, _BRANCH_KIND, bkey,
-             {"action": "merge", "changes": len(diff.overlay)})
-        ]
-        return ops, result, events
+        return br.merge_ops(diff), result
 
     result = svc._mutate(metastore_id, build)
     svc._drop_branch_caches(metastore_id, bkey)
@@ -203,11 +187,7 @@ def delete_branch(svc, ctx) -> None:
     def build(view: MetastoreView):
         entity = svc._resolve(view, metastore_id, SecurableKind.CATALOG, catalog)
         svc._authorize(view, metastore_id, principal, entity, "update", catalog)
-        ops = br.delete_branch_ops(svc.store, metastore_id, bkey)
-        events = [
-            (ChangeType.DELETED, entity.id, _BRANCH_KIND, bkey, {})
-        ]
-        return ops, None, events
+        return br.delete_branch_ops(svc.store, metastore_id, bkey), None
 
     svc._mutate(metastore_id, build)
     svc._drop_branch_caches(metastore_id, bkey)

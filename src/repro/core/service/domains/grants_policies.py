@@ -12,7 +12,6 @@ from typing import Any, Optional
 
 from repro.core.auth.abac import AbacEffect, AbacPolicy, TagCondition
 from repro.core.auth.privileges import Privilege, PrivilegeGrant
-from repro.core.events import ChangeType
 from repro.core.model.entity import SecurableKind, new_entity_id
 from repro.core.persistence.store import Tables, WriteOp
 from repro.core.service.registry import (
@@ -52,12 +51,7 @@ def grant(svc, ctx) -> PrivilegeGrant:
             granted_by=principal,
             granted_at=svc.clock.now(),
         )
-        ops = [WriteOp.put(Tables.GRANTS, record.key, record.to_dict())]
-        events = [
-            (ChangeType.GRANT_CHANGED, entity.id, kind.value, name,
-             {"grantee": grantee, "privilege": privilege.value, "action": "grant"})
-        ]
-        return ops, record, events
+        return [WriteOp.put(Tables.GRANTS, record.key, record.to_dict())], record
 
     return svc._mutate(metastore_id, build)
 
@@ -76,13 +70,7 @@ def revoke(svc, ctx) -> None:
             raise NotFoundError(
                 f"no grant of {privilege.value} to {grantee} on {name}"
             )
-        ops = [WriteOp.delete(Tables.GRANTS, key)]
-        events = [
-            (ChangeType.GRANT_CHANGED, entity.id, kind.value, name,
-             {"grantee": grantee, "privilege": privilege.value,
-              "action": "revoke"})
-        ]
-        return ops, None, events
+        return [WriteOp.delete(Tables.GRANTS, key)], None
 
     svc._mutate(metastore_id, build)
 
@@ -139,12 +127,7 @@ def create_abac_policy(svc, ctx) -> AbacPolicy:
             principals=frozenset(principals),
             exempt_principals=frozenset(exempt_principals),
         )
-        ops = [WriteOp.put(Tables.POLICIES, policy.key, policy.to_dict())]
-        events = [
-            (ChangeType.POLICY_CHANGED, scope.id, scope_kind.value,
-             scope_name or "<metastore>", {"policy": "abac", "name": name})
-        ]
-        return ops, policy, events
+        return [WriteOp.put(Tables.POLICIES, policy.key, policy.to_dict())], policy
 
     return svc._mutate(metastore_id, build)
 
@@ -165,12 +148,7 @@ def drop_abac_policy(svc, ctx) -> None:
         svc._authorize(
             view, metastore_id, principal, scope, "manage_policies", scope.name
         )
-        ops = [WriteOp.delete(Tables.POLICIES, key)]
-        events = [
-            (ChangeType.POLICY_CHANGED, scope.id, scope.kind.value, scope.name,
-             {"policy": "abac", "dropped": True})
-        ]
-        return ops, None, events
+        return [WriteOp.delete(Tables.POLICIES, key)], None
 
     svc._mutate(metastore_id, build)
 

@@ -15,7 +15,6 @@ from typing import Any, Optional
 
 from repro.cloudstore.object_store import StoragePath
 from repro.core.auth.privileges import Privilege, SYSTEM_PRINCIPAL
-from repro.core.events import ChangeType
 from repro.core.model.entity import (
     Entity,
     EntityState,
@@ -89,18 +88,13 @@ def create_metastore(svc, ctx) -> Entity:
             updated_at=now,
             spec={"region": region},
         )
-        new_version = svc.store.commit(
+        svc.store.commit(
             metastore_id, 0,
             [WriteOp.put(Tables.ENTITIES, metastore_id, entity.to_row())],
         )
         # memoise the committed name: the first touch then attaches the
         # caches without a root-row read that requests would be charged
         svc._memoise(name, metastore_id)
-    svc.events.publish(
-        metastore_id, new_version, ChangeType.CREATED, metastore_id,
-        SecurableKind.METASTORE.value, name, svc.clock.now(),
-        {"region": region},
-    )
     svc._audit(metastore_id, owner, "create_metastore", name, True)
     return entity
 
@@ -198,11 +192,7 @@ def create_securable(svc, ctx) -> Entity:
             properties=dict(properties or {}),
             spec=normalized,
         )
-        ops = [WriteOp.put(Tables.ENTITIES, entity_id, entity.to_row())]
-        events = [
-            (ChangeType.CREATED, entity_id, kind.value, name, {"owner": principal})
-        ]
-        return ops, entity, events
+        return [WriteOp.put(Tables.ENTITIES, entity_id, entity.to_row())], entity
 
     entity = svc._mutate(metastore_id, build)
     svc._audit(metastore_id, principal, "create", name, True, kind=kind.value)
@@ -390,11 +380,9 @@ def update_securable(svc, ctx) -> Entity:
             new_spec.update(normalized)
             changes["spec"] = new_spec
         if not changes:
-            return [], entity, []
+            return [], entity
         updated = entity.with_updates(updated_at=svc.clock.now(), **changes)
-        ops = [WriteOp.put(Tables.ENTITIES, entity.id, updated.to_row())]
-        events = [(ChangeType.UPDATED, entity.id, kind.value, name, {})]
-        return ops, updated, events
+        return [WriteOp.put(Tables.ENTITIES, entity.id, updated.to_row())], updated
 
     return svc._mutate(metastore_id, build)
 
@@ -423,10 +411,7 @@ def rename_securable(svc, ctx) -> Entity:
             )
         renamed = entity.with_updates(updated_at=svc.clock.now(),
                                       name=new_name)
-        ops = [WriteOp.put(Tables.ENTITIES, entity.id, renamed.to_row())]
-        events = [(ChangeType.UPDATED, entity.id, kind.value, new_name,
-                   {"renamed_from": name})]
-        return ops, renamed, events
+        return [WriteOp.put(Tables.ENTITIES, entity.id, renamed.to_row())], renamed
 
     return svc._mutate(metastore_id, build)
 
@@ -443,12 +428,7 @@ def transfer_ownership(svc, ctx) -> Entity:
             view, metastore_id, principal, entity, "transfer_ownership", name
         )
         updated = entity.with_updates(updated_at=svc.clock.now(), owner=new_owner)
-        ops = [WriteOp.put(Tables.ENTITIES, entity.id, updated.to_row())]
-        events = [
-            (ChangeType.UPDATED, entity.id, kind.value, name,
-             {"new_owner": new_owner})
-        ]
-        return ops, updated, events
+        return [WriteOp.put(Tables.ENTITIES, entity.id, updated.to_row())], updated
 
     return svc._mutate(metastore_id, build)
 
@@ -475,18 +455,10 @@ def delete_securable(svc, ctx) -> list[Entity]:
                 "pass cascade=True"
             )
         now = svc.clock.now()
-        ops = []
-        events = []
-        deleted_entities = []
-        for victim in doomed:
-            marked = victim.soft_deleted(now)
-            deleted_entities.append(marked)
-            ops.append(WriteOp.put(Tables.ENTITIES, victim.id, marked.to_row()))
-            events.append(
-                (ChangeType.DELETED, victim.id, victim.kind.value,
-                 view.full_name(victim), {})
-            )
-        return ops, deleted_entities, events
+        deleted_entities = [victim.soft_deleted(now) for victim in doomed]
+        ops = [WriteOp.put(Tables.ENTITIES, marked.id, marked.to_row())
+               for marked in deleted_entities]
+        return ops, deleted_entities
 
     deleted = svc._mutate(metastore_id, build)
     svc._audit(metastore_id, principal, "delete", name, True,
@@ -524,7 +496,6 @@ def purge_deleted(svc, ctx) -> GcReport:
 
     def build(view: MetastoreView):
         ops: list[WriteOp] = []
-        events = []
         # raw_snapshot (not store.snapshot): purge must observe the
         # request's branch overlay, and soft-deleted rows live below
         # the entity view
@@ -557,10 +528,7 @@ def purge_deleted(svc, ctx) -> GcReport:
             if entity.storage_path and svc._is_managed_path(entity.storage_path):
                 path = StoragePath.parse(entity.storage_path)
                 report.deleted_objects += svc.object_store.delete_prefix(path)
-            events.append(
-                (ChangeType.PURGED, entity.id, entity.kind.value, entity.name, {})
-            )
-        return ops, report, events
+        return ops, report
 
     result = svc._mutate(metastore_id, build)
     svc._audit(metastore_id, SYSTEM_PRINCIPAL, "purge_deleted", "<gc>", True,

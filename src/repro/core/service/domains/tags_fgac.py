@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.core.auth.fgac import ColumnMask, RowFilter
-from repro.core.events import ChangeType
 from repro.core.model.entity import SecurableKind
 from repro.core.persistence.store import Tables, WriteOp
 from repro.core.service.registry import (
@@ -53,9 +52,7 @@ def _update_tags(
             },
         }
         mutator(tags)
-        ops = [WriteOp.put(Tables.TAGS, entity.id, tags)]
-        events = [(ChangeType.TAG_CHANGED, entity.id, kind.value, name, {})]
-        return ops, None, events
+        return [WriteOp.put(Tables.TAGS, entity.id, tags)], None
 
     svc._mutate(metastore_id, build)
 
@@ -113,11 +110,7 @@ def set_row_filter(svc, ctx) -> RowFilter:
             exempt_principals=frozenset(exempt_principals),
         )
         ops = [WriteOp.put(Tables.POLICIES, row_filter.key, row_filter.to_dict())]
-        events = [
-            (ChangeType.POLICY_CHANGED, table.id, "TABLE", table_name,
-             {"policy": "row_filter", "name": filter_name})
-        ]
-        return ops, row_filter, events
+        return ops, row_filter
 
     return svc._mutate(metastore_id, build)
 
@@ -135,12 +128,7 @@ def drop_row_filter(svc, ctx) -> None:
         key = f"rowfilter/{table.id}/{filter_name}"
         if view.row(Tables.POLICIES, key) is None:
             raise NotFoundError(f"no row filter {filter_name!r} on {table_name}")
-        ops = [WriteOp.delete(Tables.POLICIES, key)]
-        events = [
-            (ChangeType.POLICY_CHANGED, table.id, "TABLE", table_name,
-             {"policy": "row_filter", "name": filter_name, "dropped": True})
-        ]
-        return ops, None, events
+        return [WriteOp.delete(Tables.POLICIES, key)], None
 
     svc._mutate(metastore_id, build)
 
@@ -166,12 +154,7 @@ def set_column_mask(svc, ctx) -> ColumnMask:
             mask_sql=mask_sql,
             exempt_principals=frozenset(exempt_principals),
         )
-        ops = [WriteOp.put(Tables.POLICIES, mask.key, mask.to_dict())]
-        events = [
-            (ChangeType.POLICY_CHANGED, table.id, "TABLE", table_name,
-             {"policy": "column_mask", "column": column})
-        ]
-        return ops, mask, events
+        return [WriteOp.put(Tables.POLICIES, mask.key, mask.to_dict())], mask
 
     return svc._mutate(metastore_id, build)
 
@@ -189,12 +172,7 @@ def drop_column_mask(svc, ctx) -> None:
         key = f"columnmask/{table.id}/{column}"
         if view.row(Tables.POLICIES, key) is None:
             raise NotFoundError(f"no column mask on {table_name}.{column}")
-        ops = [WriteOp.delete(Tables.POLICIES, key)]
-        events = [
-            (ChangeType.POLICY_CHANGED, table.id, "TABLE", table_name,
-             {"policy": "column_mask", "column": column, "dropped": True})
-        ]
-        return ops, None, events
+        return [WriteOp.delete(Tables.POLICIES, key)], None
 
     svc._mutate(metastore_id, build)
 

@@ -34,8 +34,7 @@ from repro.core.audit import AuditLog
 from repro.core.auth.authorizer import Authorizer
 from repro.core.auth.principals import PrincipalDirectory
 from repro.core.cache.decisions import HotPathCaches
-from repro.core.cache.eviction import EvictionPolicy
-from repro.core.cache.node import MetastoreCacheNode, ReconcileMode
+from repro.core.cache.node import MetastoreCacheNode
 from repro.core.events import ChangeEventBus
 from repro.core.lineage import LineageGraph
 from repro.core.model.entity import Entity, SecurableKind
@@ -79,8 +78,6 @@ class ServiceKernel:
         object_store: Optional[ObjectStore] = None,
         sts: Optional[StsTokenIssuer] = None,
         enable_cache: bool = True,
-        reconcile_mode: ReconcileMode = ReconcileMode.SELECTIVE,
-        eviction_policy_factory: Optional[Callable[[], EvictionPolicy]] = None,
         max_cached_entities: Optional[int] = None,
         managed_root: str = "s3://unity-managed",
         read_version_check: bool = True,
@@ -143,11 +140,9 @@ class ServiceKernel:
         )
         self.authorizer = Authorizer(self.registry, self.directory)
         self.audit = AuditLog()
-        self.events = ChangeEventBus()
+        self.events = ChangeEventBus(self.store)
         self.lineage = LineageGraph()
         self.enable_cache = enable_cache
-        self._reconcile_mode = reconcile_mode
-        self._eviction_policy_factory = eviction_policy_factory
         self._max_cached_entities = max_cached_entities
         self._managed_root = StoragePath.parse(managed_root)
         self.object_store.ensure_bucket(self._managed_root.scheme, self._managed_root.bucket)
@@ -314,17 +309,10 @@ class ServiceKernel:
                 return None
             node = None
             if self.enable_cache:
-                policy = (
-                    self._eviction_policy_factory()
-                    if self._eviction_policy_factory
-                    else None
-                )
                 node = MetastoreCacheNode(
                     self.store,
                     metastore_id,
                     clock=self.clock,
-                    reconcile_mode=self._reconcile_mode,
-                    eviction_policy=policy,
                     max_cached_entities=self._max_cached_entities,
                 )
                 node.warm()
@@ -477,7 +465,7 @@ class ServiceKernel:
     def _mutate(
         self,
         metastore_id: str,
-        build: Callable[[MetastoreView], tuple[list[WriteOp], Any, list[tuple]]],
+        build: Callable[[MetastoreView], tuple[list[WriteOp], Any]],
     ) -> Any:
         """Optimistic serializable write: validate against a fresh view,
         commit with CAS, retry from scratch on conflict.
@@ -489,9 +477,8 @@ class ServiceKernel:
         clock per :attr:`retry_policy` before retrying, bounded by the
         policy's attempt budget *and* the request's ambient deadline.
 
-        ``build`` returns ``(ops, result, events)`` where each event is a
-        ``(ChangeType, entity_id, kind, name, details)`` tuple published
-        after the commit succeeds.
+        ``build`` returns ``(ops, result)``. It builds no change events:
+        :attr:`events` derives them from the store's change log.
 
         On a branch request the same loop runs against the branch view
         and commits copy-on-write through
@@ -509,7 +496,7 @@ class ServiceKernel:
         transient_failures = 0
         for _ in range(_MAX_COMMIT_RETRIES):
             view = self.view(metastore_id)
-            ops, result, events = build(view)
+            ops, result = build(view)
             if not ops:
                 return result
             node = self._nodes.get(metastore_id) if branch is None else None
@@ -559,20 +546,6 @@ class ServiceKernel:
                 bundle = self._branch_hot_caches.get((metastore_id, branch))
             if bundle is not None:
                 bundle.note_commit(ops, new_version)
-            for change, entity_id, kind, name, details in events:
-                if branch is not None:
-                    details = dict(details or {})
-                    details["branch"] = branch
-                self.events.publish(
-                    metastore_id,
-                    new_version,
-                    change,
-                    entity_id,
-                    kind,
-                    name,
-                    self.clock.now(),
-                    details,
-                )
             return result
         raise ConcurrentModificationError(
             f"write to metastore {metastore_id} kept conflicting: {last_error}"

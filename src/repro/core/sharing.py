@@ -24,7 +24,6 @@ from repro.cloudstore.sts import AccessLevel, TemporaryCredential
 from repro.core.auth.privileges import Privilege
 from repro.core.model.entity import Entity, SecurableKind
 from repro.core.persistence.store import Tables, WriteOp
-from repro.core.events import ChangeType
 from repro.deltalog.table import DeltaTable
 from repro.errors import (
     NotFoundError,
@@ -89,10 +88,7 @@ class DeltaSharingServer:
             key = f"{share.id}/{table.id}"
             row = {"share_id": share.id, "asset_id": table.id,
                    "asset_name": table_name}
-            ops = [WriteOp.put(Tables.SHARES, key, row)]
-            events = [(ChangeType.UPDATED, share.id, "SHARE", share_name,
-                       {"added_table": table_name})]
-            return ops, None, events
+            return [WriteOp.put(Tables.SHARES, key, row)], None
 
         service._mutate(self._metastore_id, build)
 
@@ -111,10 +107,7 @@ class DeltaSharingServer:
             key = f"{share.id}/{table.id}"
             if view.row(Tables.SHARES, key) is None:
                 raise NotFoundError(f"{table_name} is not in share {share_name}")
-            ops = [WriteOp.delete(Tables.SHARES, key)]
-            events = [(ChangeType.UPDATED, share.id, "SHARE", share_name,
-                       {"removed_table": table_name})]
-            return ops, None, events
+            return [WriteOp.delete(Tables.SHARES, key)], None
 
         service._mutate(self._metastore_id, build)
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from repro.cloudstore.client import StorageClient
 from repro.cloudstore.object_store import StoragePath
 from repro.cloudstore.sts import AccessLevel
-from repro.core.events import ChangeType
 from repro.core.model.entity import Entity, SecurableKind
 from repro.core.persistence.store import Tables, WriteOp
 from repro.deltalog.actions import Action, CommitInfo, RemoveFile
@@ -215,7 +214,6 @@ class TransactionCoordinator:
 
         def build(view):
             ops = []
-            events = []
             new_versions.clear()
             for name, participant in participants.items():
                 row = view.row(Tables.COMMITS, participant.entity.id)
@@ -235,11 +233,7 @@ class TransactionCoordinator:
                         {"version": new_version, "committed_by": principal},
                     )
                 )
-                events.append(
-                    (ChangeType.COMMIT, participant.entity.id, "TABLE", name,
-                     {"version": new_version})
-                )
-            return ops, dict(new_versions), events
+            return ops, dict(new_versions)
 
         result = service._mutate(self._metastore_id, build)
 

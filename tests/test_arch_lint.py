@@ -288,3 +288,52 @@ def test_planted_view_outside_the_kernel_is_flagged(tmp_path, monkeypatch):
     errors = arch_lint.check_views_built_per_request(src, kernel)
     assert [e.split(": ")[0] for e in errors] == ["src/repro/core/cache/views.py:5"]
     assert "only the kernel builds one" in errors[0]
+
+
+# -- rule 8: change events are derived in one place --------------------------------
+
+def test_event_sites_sees_every_spelling():
+    tree = ast.parse(
+        "from repro.core import events\n"
+        "a = ChangeEvent(0, 'm', 1, change, 'id', 'TABLE', 'n')\n"
+        "b = events.ChangeEvent(0, 'm', 1, change, 'id', 'TABLE', 'n')\n"
+        "c = ChangeType.CREATED\n"
+        "d = events.ChangeType.PURGED\n"
+        "isinstance(a, ChangeEvent)\n"
+        "e = ChangeType('UPDATED')\n"
+        "f = event.change.value\n"
+    )
+    assert arch_lint.event_sites(tree) == [
+        (2, "ChangeEvent("), (3, "ChangeEvent("), (4, "ChangeType."), (5, "ChangeType."),
+    ]
+
+
+def test_planted_event_outside_the_events_module_is_flagged(tmp_path, monkeypatch):
+    monkeypatch.setattr(arch_lint, "REPO", tmp_path)
+    core = tmp_path / "src" / "repro" / "core"
+    (core / "service" / "domains").mkdir(parents=True)
+    events, search = core / "events.py", core / "search.py"
+    events.write_text("def derive(n):\n"
+                      "    return ChangeEvent(n, 'm', 1, ChangeType.CREATED, 'i', 'T', 'n')\n")
+    search.write_text("def gone(event):\n"
+                      "    return event.change is ChangeType.PURGED\n\n"
+                      "def fake(n):\n"
+                      "    return ChangeEvent(n, 'm', 1, None, 'i', 'T', 'n')\n")
+    (core / "service" / "domains" / "grants.py").write_text(
+        "from repro.core.events import ChangeType\n\n"
+        "def build(view, ops):\n"
+        "    return ops, None, [(ChangeType.GRANT_CHANGED, 'id')]\n"
+    )
+    (core / "audit.py").write_text(
+        "from repro.core import events\n\n"
+        "def record(n):\n"
+        "    return events.ChangeEvent(n, 'm', 1, None, 'i', 'T', 'n')\n"
+    )
+    errors = arch_lint.check_events_derived_in_one_place(
+        tmp_path / "src" / "repro", events, (events, search))
+    assert [e.split(": ")[0] for e in errors] == [
+        "src/repro/core/audit.py:4",
+        "src/repro/core/search.py:5",
+        "src/repro/core/service/domains/grants.py:4",
+    ]
+    assert all("derived from the store's change log" in e for e in errors)

@@ -523,3 +523,122 @@ def test_reading_an_unknown_table_leaves_the_store_unchanged(backend):
     assert snapshot.count("ghost", "k") == 0
     assert store.row_version_count(MID) == versions
     assert set(store._slot(MID).tables) == tables
+
+
+# -- the change log is read by bisect ----------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    batch_sizes=st.lists(st.integers(0, 3), max_size=25),
+    cursors=st.lists(st.integers(-2, 28), min_size=1, max_size=6),
+    min_version=st.one_of(st.none(), st.integers(-1, 27)),
+)
+def test_memory_changes_since_equals_the_linear_filter(batch_sizes, cursors,
+                                                       min_version):
+    """On any log (empty commits included) and any cursor, before and
+    after a compaction, ``changes_since`` returns exactly the records a
+    filter of the whole log by version would."""
+    store = InMemoryMetadataStore()
+    store.create_metastore_slot(MID)
+    log = []
+    for version, size in enumerate(batch_sizes, start=1):
+        ops = [put(f"k{version}.{i}") for i in range(size)]
+        store.commit(MID, version - 1, ops)
+        log += [(version, op.table, op.key) for op in ops]
+    if min_version is not None:
+        store.compact(MID, min_version)
+        log = [record for record in log if record[0] > min_version]
+    for cursor in cursors:
+        assert [(r.version, r.table, r.key)
+                for r in store.changes_since(MID, cursor)] == [
+            record for record in log if record[0] > cursor]
+
+
+# -- tree-index rows skip an unmoved entity -----------------------------------------
+
+
+def _reference_tree_index_rows(ops, previous):
+    """The derivation before it skipped unmoved entities: both slots
+    built for every entity op."""
+    from repro.core.persistence.store import index_row
+
+    rows = []
+    pending = {}
+    for op in ops:
+        if op.table != Tables.ENTITIES:
+            continue
+        before = pending[op.key] if op.key in pending else previous(op.key)
+        pending[op.key] = op.value
+        old, new = index_row(before), index_row(op.value)
+        if old is not None and (new is None or old[0] != new[0]):
+            rows.append((TREE_INDEX, old[0], None))
+        if new is not None and new != old:
+            rows.append((TREE_INDEX, new[0], new[1]))
+    return rows
+
+
+_SLOT_VALUES = {
+    "id": st.sampled_from(["e1", "e2"]),
+    "kind": st.sampled_from(["TABLE", None]),
+    "name": st.sampled_from(["orders", "clicks"]),
+    "parent_id": st.sampled_from(["s1", None]),
+    "state": st.sampled_from(["ACTIVE", "DELETED"]),
+    "comment": st.sampled_from(["", "edited"]),
+}
+#: rows of one entity id, so that two of them often share a slot, or
+#: differ in one slot field only (None and absent included)
+_ENTITY_SHAPED = st.fixed_dictionaries(
+    {"id": st.just("e1"), "name": _SLOT_VALUES["name"]},
+    optional={name: _SLOT_VALUES[name]
+              for name in ("kind", "parent_id", "state", "comment")},
+)
+_ENTITY_ROWS = st.one_of(
+    st.none(),
+    _ENTITY_SHAPED,
+    _ENTITY_SHAPED,
+    _ENTITY_SHAPED,
+    # anything else
+    st.fixed_dictionaries({}, optional=_SLOT_VALUES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    batch=st.lists(
+        st.tuples(st.sampled_from([Tables.ENTITIES, Tables.TAGS]),
+                  st.sampled_from(["e1", "e2"]), _ENTITY_ROWS),
+        max_size=6,
+    ),
+    stored=st.dictionaries(st.sampled_from(["e1", "e2"]), _ENTITY_ROWS),
+)
+def test_tree_index_rows_equal_the_reference_derivation(batch, stored):
+    """Comment edits, renames, moves, soft and hard deletes, rows missing
+    slot fields or holding None in them: the rows derived match the
+    derivation that built every slot."""
+    from repro.core.persistence.store import tree_index_rows
+
+    ops = [WriteOp(table=t, key=k, value=v) for t, k, v in batch]
+    assert tree_index_rows(ops, stored.get) == \
+        _reference_tree_index_rows(ops, stored.get)
+
+
+def test_tree_index_rows_equal_the_reference_on_every_pair_of_rows():
+    """Every (previous row, new row) pair over a small space of slot
+    values: each slot field absent, None or set, besides no row at all."""
+    import itertools
+
+    from repro.core.persistence.store import tree_index_rows
+
+    choices = {"id": ("e1", "e2"), "name": ("orders",), "kind": ("TABLE", None),
+               "parent_id": ("s1", None), "state": ("ACTIVE", "DELETED")}
+    absent = object()
+    rows = [None]
+    for values in itertools.product(*[(absent,) + v for v in choices.values()]):
+        rows.append({name: value for name, value in zip(choices, values)
+                     if value is not absent})
+    for before, after in itertools.product(rows, rows):
+        ops = [WriteOp(table=Tables.ENTITIES, key="e1", value=after)]
+        previous = {"e1": before}.get
+        assert tree_index_rows(ops, previous) == \
+            _reference_tree_index_rows(ops, previous), (before, after)

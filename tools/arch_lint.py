@@ -62,6 +62,13 @@ The view read memo added a view-lifetime rule:
    ``SnapshotView(`` is called only in ``repro.core.service.kernel``;
    anything else that needs a view asks the kernel for one.
 
+Deriving change events from the change log added an events rule:
+
+8. **Change events are derived in one place.** ``core/events.py``
+   reads every event from the store's change log, so no write builds
+   one: ``ChangeEvent(`` is called only there, and ``ChangeType.`` is
+   read only there and in ``core/search.py``, the events' consumer.
+
 Run from the repository root::
 
     python tools/arch_lint.py
@@ -629,6 +636,50 @@ def check_views_built_per_request(root: Path = SRC,
     return errors
 
 
+# -- rule 8: change events are derived in one place ------------------------
+
+#: the one module that builds change events (``ChangeEventBus.publish``)
+EVENTS_MODULE = SRC / "core" / "events.py"
+#: the modules that may name a change type: the deriver and its consumer
+CHANGE_TYPE_READERS = (EVENTS_MODULE, SRC / "core" / "search.py")
+
+
+def _spells(node: ast.expr, name: str) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def event_sites(tree: ast.Module) -> list[tuple[int, str]]:
+    """(lineno, what) for each ``ChangeEvent(...)`` call and each
+    ``ChangeType.<member>`` read in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _spells(node.func, "ChangeEvent"):
+            found.append((node.lineno, "ChangeEvent("))
+        elif isinstance(node, ast.Attribute) and _spells(node.value, "ChangeType"):
+            found.append((node.lineno, "ChangeType."))
+    return sorted(found)
+
+
+def check_events_derived_in_one_place(
+    root: Path = SRC, builder: Path = EVENTS_MODULE,
+    readers: tuple[Path, ...] = CHANGE_TYPE_READERS,
+) -> list[str]:
+    """Rule 8: only ``builder`` builds events; only ``readers`` name a
+    change type."""
+    errors = []
+    for path in sorted(root.rglob("*.py")):
+        for lineno, what in event_sites(_parse(path)):
+            if path == builder or (what == "ChangeType." and path in readers):
+                continue
+            errors.append(
+                f"{path.relative_to(REPO)}:{lineno}: {what} — change events "
+                "are derived from the store's change log in core/events.py; "
+                "a write builds none"
+            )
+    return errors
+
+
 def run() -> list[str]:
     errors = []
     errors += check_domain_isolation()
@@ -638,6 +689,7 @@ def run() -> list[str]:
     errors += check_branch_version_gates()
     errors += check_no_row_copies()
     errors += check_views_built_per_request()
+    errors += check_events_derived_in_one_place()
     return errors
 
 
