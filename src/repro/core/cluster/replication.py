@@ -187,6 +187,10 @@ class ReplicatingStore(MetadataStore):
     def compact(self, metastore_id: str, min_version: int) -> int:
         return self.inner.compact(metastore_id, min_version)
 
+    @property
+    def decoded_rows(self) -> int:
+        return self.inner.decoded_rows
+
     def __getattr__(self, name: str) -> Any:
         # backend extras and diagnostics counters (read_count, …) that
         # benches and tests read off the raw store

@@ -13,6 +13,26 @@ transaction and writes the index rows into the same relation under
 range read, and ``AS OF`` reads and compaction treat the index rows like
 any other. A file written before the store kept the index
 (``PRAGMA user_version`` 0) gets it rebuilt on open.
+
+The file is journalled in write-ahead-log mode (``synchronous`` stays
+FULL, so an acknowledged commit survives a crash): a reader takes no
+rollback-journal lock per statement, and a second store on the same
+file reads beside the writer.
+
+Rows are read as the memory engine's are: one frozen row
+(:func:`~repro.core.frozen.freeze`) per row version, shared by every
+reader, so an entity row decodes into one ``Entity`` and one kept text
+per version (``FrozenRow.memo``). Each read selects the row's version
+with its value, and the store decodes ``(metastore_id, table, key,
+version)`` the first time it is read and hands out that same object
+after. The map needs no invalidation, because a committed row version
+never changes: a commit only inserts rows at its new version, inside
+its CAS transaction (a key written twice in one batch is replaced
+before the transaction ends, so before any read of that version);
+compaction deletes versions but never rewrites one; and the one rewrite,
+``_rebuild_tree_index``, runs in the constructor, before any read. The
+map keeps at most ``_DECODED_ROWS_MAX`` row versions and evicts the
+oldest first; an evicted row is decoded again, equal, when next read.
 """
 
 from __future__ import annotations
@@ -20,9 +40,11 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+from collections import OrderedDict
 from itertools import groupby
 from typing import Any, Iterator, Optional
 
+from repro.core.frozen import FrozenRow, freeze
 from repro.core.persistence.store import (
     TREE_INDEX,
     ChangeRecord,
@@ -71,6 +93,9 @@ CREATE TABLE IF NOT EXISTS compactions (
 #: ``PRAGMA user_version`` of a file whose commits derive the tree index
 _SCHEMA_VERSION = 1
 
+#: row versions a store keeps decoded; past it, the oldest go first
+_DECODED_ROWS_MAX = 16384
+
 _INSERT_ROW = (
     "INSERT OR REPLACE INTO rows (metastore_id, tbl, key, version, value)"
     " VALUES (?, ?, ?, ?, ?)"
@@ -91,22 +116,22 @@ class _SqliteSnapshot(Snapshot):
         self._store = store
 
     def get(self, table: str, key: str) -> Optional[dict[str, Any]]:
-        row = self._store._query_one(
-            "SELECT value FROM rows"
+        rows = self._store._read_rows(
+            self.metastore_id, table,
+            "SELECT key, version, value FROM rows"
             " WHERE metastore_id=? AND tbl=? AND key=? AND version<=?"
             " ORDER BY version DESC LIMIT 1",
             (self.metastore_id, table, key, self.version),
         )
-        if row is None or row[0] is None:
-            return None
-        return json.loads(row[0])
+        return rows[0][1] if rows else None
 
     def multi_get(self, table: str, keys: list[str]) -> dict[str, dict[str, Any]]:
         if not keys:
             return {}
         placeholders = ",".join("?" for _ in keys)
-        rows = self._store._query_all(
-            "SELECT key, value FROM rows r"
+        rows = self._store._read_rows(
+            self.metastore_id, table,
+            "SELECT key, version, value FROM rows r"
             f" WHERE metastore_id=? AND tbl=? AND key IN ({placeholders})"
             "   AND version = ("
             "   SELECT MAX(version) FROM rows"
@@ -115,23 +140,20 @@ class _SqliteSnapshot(Snapshot):
             (self.metastore_id, table, *keys, self.version),
         )
         self._store.multi_get_count += 1
-        return {
-            key: json.loads(value) for key, value in rows if value is not None
-        }
+        return dict(rows)
 
     def scan(self, table: str) -> Iterator[tuple[str, dict[str, Any]]]:
-        rows = self._store._query_all(
-            "SELECT key, value FROM rows r"
+        live = self._store._read_rows(
+            self.metastore_id, table,
+            "SELECT key, version, value FROM rows r"
             " WHERE metastore_id=? AND tbl=? AND version = ("
             "   SELECT MAX(version) FROM rows"
             "   WHERE metastore_id=r.metastore_id AND tbl=r.tbl"
             "     AND key=r.key AND version<=?)",
             (self.metastore_id, table, self.version),
         )
-        live = [(k, v) for k, v in rows if v is not None]
         self._store.scan_row_count += len(live)
-        for key, value in live:
-            yield key, json.loads(value)
+        return iter(live)
 
     def scan_range(
         self, table: str, start: str, end: Optional[str]
@@ -140,8 +162,9 @@ class _SqliteSnapshot(Snapshot):
         params: tuple = (self.metastore_id, table, start)
         if end is not None:
             params += (end,)
-        rows = self._store._query_all(
-            "SELECT key, value FROM rows r"
+        live = self._store._read_rows(
+            self.metastore_id, table,
+            "SELECT key, version, value FROM rows r"
             f" WHERE metastore_id=? AND tbl=? AND key>=?{where_end}"
             "   AND version = ("
             "   SELECT MAX(version) FROM rows"
@@ -150,11 +173,9 @@ class _SqliteSnapshot(Snapshot):
             " ORDER BY key",
             params + (self.version,),
         )
-        live = [(k, v) for k, v in rows if v is not None]
         self._store.range_scan_count += 1
         self._store.scan_row_count += len(live)
-        for key, value in live:
-            yield key, json.loads(value)
+        return iter(live)
 
     def count(self, table: str, prefix: str = "") -> int:
         end = prefix_end(prefix)
@@ -183,11 +204,15 @@ class SqliteMetadataStore(MetadataStore):
         # anyway and the catalog's writes are per-metastore serialized above.
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._lock = threading.RLock()
+        #: (metastore_id, table, key, version) -> that row version, frozen
+        self._decoded: OrderedDict[tuple[str, str, str, int], FrozenRow] = OrderedDict()
         self.read_count = 0
         self.multi_get_count = 0
         self.scan_row_count = 0
         self.range_scan_count = 0
         with self._lock:
+            # ":memory:" answers "memory" and stays so
+            self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.executescript(_SCHEMA)
             (user_version,) = self._conn.execute("PRAGMA user_version").fetchone()
             if user_version < _SCHEMA_VERSION:
@@ -206,6 +231,32 @@ class SqliteMetadataStore(MetadataStore):
         with self._lock:
             cursor = self._conn.execute(sql, params)
             return cursor.fetchall()
+
+    def _read_rows(
+        self, metastore_id: str, table: str, sql: str, params: tuple
+    ) -> list[tuple[str, FrozenRow]]:
+        """Run a read selecting ``(key, version, value)``; returns the live
+        rows as ``(key, frozen row)``, each row version decoded once."""
+        with self._lock:
+            rows = self._conn.execute(sql, params).fetchall()
+            decoded = self._decoded
+            out = []
+            for key, version, text in rows:
+                if text is None:
+                    continue
+                slot = (metastore_id, table, key, version)
+                row = decoded.get(slot)
+                if row is None:
+                    row = decoded[slot] = freeze(json.loads(text))
+                    if len(decoded) > _DECODED_ROWS_MAX:
+                        decoded.popitem(last=False)
+                out.append((key, row))
+            return out
+
+    @property
+    def decoded_rows(self) -> int:
+        """Row versions kept decoded (at most ``_DECODED_ROWS_MAX``)."""
+        return len(self._decoded)
 
     def _latest_entity(self, metastore_id: str, key: str) -> Optional[dict]:
         """An entity's newest committed row (inside the open transaction)."""

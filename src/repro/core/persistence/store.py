@@ -315,6 +315,10 @@ class MetadataStore(abc.ABC):
     charge from them.
     """
 
+    #: row versions the store keeps decoded beside their stored form: 0
+    #: on a backend whose stored rows are the objects its reads return
+    decoded_rows = 0
+
     @abc.abstractmethod
     def create_metastore_slot(self, metastore_id: str) -> None:
         """Initialize version tracking for a new metastore (version 0)."""

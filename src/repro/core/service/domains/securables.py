@@ -487,15 +487,20 @@ def purge_deleted(svc, ctx) -> GcReport:
     """Hard-delete soft-deleted entities and release their resources.
 
     Runs under the catalog's own authority (it owns managed storage).
+    ``build`` may run more than once (a conflict or a transient store
+    error retries it), so it counts afresh each time and only collects
+    the managed paths; their storage is deleted once the commit lands.
     """
     p = ctx.params
     metastore_id = p["metastore_id"]
     older_than_seconds = float(p.get("older_than_seconds", 0.0))
-    report = GcReport()
     cutoff = svc.clock.now() - older_than_seconds
 
     def build(view: MetastoreView):
+        report = GcReport()
         ops: list[WriteOp] = []
+        purged: set[str] = set()
+        released: list[StoragePath] = []
         # raw_snapshot (not store.snapshot): purge must observe the
         # request's branch overlay, and soft-deleted rows live below
         # the entity view
@@ -508,6 +513,7 @@ def purge_deleted(svc, ctx) -> GcReport:
                 continue
             ops.append(WriteOp.delete(Tables.ENTITIES, entity.id))
             report.purged_entities += 1
+            purged.add(entity.id)
             # drop grants on the purged securable (grant keys start with
             # the securable id, so this is one range read on prefix-
             # ordered backends)
@@ -516,24 +522,24 @@ def purge_deleted(svc, ctx) -> GcReport:
             ):
                 ops.append(WriteOp.delete(Tables.GRANTS, grant_key))
                 report.purged_grants += 1
-            # drop tags and per-table policies
             if snapshot.get(Tables.TAGS, entity.id) is not None:
                 ops.append(WriteOp.delete(Tables.TAGS, entity.id))
-            for policy_key, policy_value in snapshot.scan(Tables.POLICIES):
-                if policy_value.get("securable_id") == entity.id or (
-                    policy_value.get("scope_id") == entity.id
-                ):
-                    ops.append(WriteOp.delete(Tables.POLICIES, policy_key))
-            # release managed storage
             if entity.storage_path and svc._is_managed_path(entity.storage_path):
-                path = StoragePath.parse(entity.storage_path)
-                report.deleted_objects += svc.object_store.delete_prefix(path)
-        return ops, report
+                released.append(StoragePath.parse(entity.storage_path))
+        # per-table policies: one policy scan for the whole purge
+        if purged:
+            for policy_key, policy_value in snapshot.scan(Tables.POLICIES):
+                if (policy_value.get("securable_id") in purged
+                        or policy_value.get("scope_id") in purged):
+                    ops.append(WriteOp.delete(Tables.POLICIES, policy_key))
+        return ops, (report, released)
 
-    result = svc._mutate(metastore_id, build)
+    report, released = svc._mutate(metastore_id, build)
+    for path in released:
+        report.deleted_objects += svc.object_store.delete_prefix(path)
     svc._audit(metastore_id, SYSTEM_PRINCIPAL, "purge_deleted", "<gc>", True,
-               purged=result.purged_entities)
-    return result
+               purged=report.purged_entities)
+    return report
 
 
 # ----------------------------------------------------------------------

@@ -215,6 +215,7 @@ class ServiceKernel:
         yield ("uc_store_multi_get_total", {}, self.store.multi_get_count)
         yield ("uc_store_range_scans_total", {}, self.store.range_scan_count)
         yield ("uc_store_scan_rows_total", {}, self.store.scan_row_count)
+        yield ("uc_store_decoded_rows", {}, self.store.decoded_rows)
 
     def _register_node_collector(self, name: str, node: MetastoreCacheNode) -> None:
         """Export one cache node's tier stats, labelled by metastore."""

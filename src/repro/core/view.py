@@ -32,11 +32,12 @@ class SnapshotView:
     index, so a lookup reads the rows it needs, not the whole metastore.
 
     Within its lifetime a view keeps what it has read: each decoded
-    entity (``None`` for an absent or inactive id), each securable's
-    grants and each auxiliary row (misses too). The snapshot is pinned at
-    one version, so the memo is never stale and needs no invalidation;
-    the kernel builds a view per request and never keeps it, so the memo
-    holds at most the rows one request touches.
+    entity (``None`` for an absent or inactive id), each name lookup's
+    id, each securable's grants, each auxiliary row (misses too) and each
+    table scan read to its end. The snapshot is pinned at one version, so
+    the memo is never stale and needs no invalidation; the kernel builds
+    a view per request and never keeps it, so the memo holds at most the
+    rows one request touches.
     """
 
     #: branch key (``catalog@branch``) when the view reads a branch's
@@ -47,9 +48,13 @@ class SnapshotView:
         self._snapshot = snapshot
         self._registry = registry
         self._entities: dict[str, Optional[Entity]] = {}
+        #: (parent, kind, name) -> the ACTIVE child's id, or None
+        self._child_ids: dict[tuple[Optional[str], str, str], Optional[str]] = {}
         self._grants: dict[str, list[PrivilegeGrant]] = {}
         #: auxiliary rows, read one by one or by prefetch_rows
         self._rows: dict[tuple[str, str], Optional[dict]] = {}
+        #: table -> its rows, for each scan some caller read to the end
+        self._scans: dict[str, list[tuple[str, dict]]] = {}
 
     @property
     def version(self) -> int:
@@ -83,7 +88,10 @@ class SnapshotView:
         for manifest in self._registry:
             if manifest.namespace_group != namespace_group:
                 continue
-            child = self._snapshot.child_id(parent_id, manifest.kind.value, name)
+            slot = (parent_id, manifest.kind.value, name)
+            child = self._child_ids.get(slot, _UNREAD)
+            if child is _UNREAD:
+                child = self._child_ids[slot] = self._snapshot.child_id(*slot)
             if child is not None:
                 return self.entity_by_id(child)
         return None
@@ -148,8 +156,20 @@ class SnapshotView:
         return value
 
     def rows(self, table: str) -> Iterator[tuple[str, dict]]:
-        """Raw scan of an auxiliary table."""
-        return self._snapshot.scan(table)
+        """Raw scan of an auxiliary table.
+
+        A scan is kept only once a caller has read it to the end: a
+        caller that stops at its first match reads no further than it
+        did without the memo."""
+        kept = self._scans.get(table)
+        return iter(kept) if kept is not None else self._scan_and_keep(table)
+
+    def _scan_and_keep(self, table: str) -> Iterator[tuple[str, dict]]:
+        read = []
+        for item in self._snapshot.scan(table):
+            read.append(item)
+            yield item
+        self._scans[table] = read
 
     def ancestors(self, entity: Entity) -> list[Entity]:
         """Parent chain from direct parent up to (excluding) the metastore."""

@@ -265,21 +265,34 @@ class TestDecodeOnce:
         assert before.comment == "old"
 
     def test_sqlite_rows_decode_fresh(self, tmp_path):
+        """A SQLite row decodes once per row version, not once per read:
+        a fresh version decodes anew, a pinned view keeps the old one."""
         store = SqliteMetadataStore(str(tmp_path / "catalog.db"))
         try:
             store.create_metastore_slot(MID)
             store.commit(MID, 0, [WriteOp.put(Tables.ENTITIES, "t1", ROW)])
-            view = SnapshotView(store.snapshot(MID), registry=None)
-            first = view.entity_by_id("t1")
-            assert view.entity_by_id("t1") is first  # decoded once per view
-            assert type(store.snapshot(MID).get(Tables.ENTITIES, "t1")) is dict
-            first.spec["table_type"] = "VIEW"  # this view's private decode
-            fresh = SnapshotView(store.snapshot(MID), registry=None)
-            second = fresh.entity_by_id("t1")
-            assert second == Entity.from_dict(ROW) and second is not first
-            assert second.spec["table_type"] == "MANAGED"
             stored = store.snapshot(MID).get(Tables.ENTITIES, "t1")
-            assert stored["spec"]["table_type"] == "MANAGED"
+            assert type(stored) is FrozenRow and stored == ROW
+            _assert_immutable(stored, ROW)
+            assert store.snapshot(MID).get(Tables.ENTITIES, "t1") is stored
+
+            pinned = SnapshotView(store.snapshot(MID), registry=None)
+            first = pinned.entity_by_id("t1")
+            second = SnapshotView(store.snapshot(MID), registry=None)
+            assert second.entity_by_id("t1") is first
+            assert first == Entity.from_dict(ROW)
+
+            store.commit(MID, 1, [WriteOp.put(
+                Tables.ENTITIES, "t1", dict(ROW, comment="new"))])
+            fresh = SnapshotView(store.snapshot(MID), registry=None)
+            after = fresh.entity_by_id("t1")
+            assert after is not first and after.comment == "new"
+            assert SnapshotView(store.snapshot(MID), registry=None).entity_by_id(
+                "t1") is after
+            # a view pinned before the commit keeps the old version
+            assert pinned.entity_by_id("t1") is first and first.comment == ""
+            assert Entity.from_dict(
+                store.snapshot(MID, at_version=1).get(Tables.ENTITIES, "t1")) is first
         finally:
             store.close()
 

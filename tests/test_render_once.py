@@ -41,7 +41,7 @@ def estate(request, tmp_path):
     """(service, branch or None, kept): one catalog, one schema, four
     tables a reader may select. ``kept`` says whether the store's rows are
     frozen, so that its entities keep their text: the memory store's are
-    (caches on), SQLite's are decoded per view (caches off)."""
+    (caches on), and so are SQLite's, one per row version (caches off)."""
     sqlite = request.param == "sqlite"
     store = SqliteMetadataStore(str(tmp_path / "catalog.db")) if sqlite else None
     service = UnityCatalogService(store=store, enable_cache=not sqlite)
@@ -62,7 +62,7 @@ def estate(request, tmp_path):
     if request.param == "branch":
         service.create_branch(mid, ADMIN, "c", "dev")
         branch = "c@dev"
-    yield service, branch, not sqlite
+    yield service, branch, True
     if store is not None:
         store.close()
 
@@ -151,7 +151,7 @@ def test_every_body_is_json_dumps_of_the_router_payload(served):
     table, _, resolved = recorded.payloads[7:10]
     # the resolve vended a credential for each table
     assert all(asset["credential"]["token"] for asset in resolved["assets"].values())
-    # a memory row keeps its text; a SQLite row is decoded (and encoded) per view
+    # a row keeps its text, on either store
     assert type(table) is Rendering
     assert (table.entity.json_text() is not None) is kept
     assert (table.kept_text() is not None) is kept

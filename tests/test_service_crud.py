@@ -5,13 +5,17 @@ import pytest
 from repro.cloudstore.object_store import StoragePath
 from repro.core.model.entity import EntityState, SecurableKind
 from repro.core.auth.privileges import Privilege
+from repro.core.persistence.store import Tables
+from repro.core.service.catalog_service import UnityCatalogService
 from repro.errors import (
     AlreadyExistsError,
     InvalidRequestError,
     NotFoundError,
     PathConflictError,
     PermissionDeniedError,
+    ThrottledError,
 )
+from repro.faults import FaultInjector
 
 
 @pytest.fixture
@@ -318,6 +322,75 @@ class TestDeleteAndGc:
         # the path can be claimed by a new asset now
         make_table(service, mid, name="cat.sch.ext2", table_type="EXTERNAL",
                    storage_path="s3://external-bucket/landing/t1")
+
+
+class TestPurgeRetries:
+    """``purge_deleted``'s build runs again on each commit retry: it must
+    count once, and release storage only once the commit has landed."""
+
+    @pytest.fixture
+    def faulty(self, clock):
+        faults = FaultInjector(clock, seed=3)
+        service = UnityCatalogService(clock=clock, faults=faults)
+        service.directory.add_user("alice")
+        mid = service.create_metastore("main", owner="alice").id
+        service.create_securable(mid, "alice", SecurableKind.CATALOG, "cat")
+        service.create_securable(mid, "alice", SecurableKind.SCHEMA, "cat.sch")
+        table = make_table(service, mid)
+        data = StoragePath.parse(table.storage_path).child("part-0")
+        service.object_store.put(data, b"rows")
+        service.delete_securable(mid, "alice", SecurableKind.TABLE, "cat.sch.t")
+        return service, mid, faults, table, data
+
+    def test_a_retried_purge_counts_once(self, faulty):
+        service, mid, faults, _, data = faulty
+        faults.fail_next("store.commit", count=1)
+        report = service.purge_deleted(mid)
+        assert (report.purged_entities, report.deleted_objects) == (1, 1)
+        assert not service.object_store.exists(data)
+
+    def test_a_failed_purge_keeps_the_storage_of_what_it_kept(self, faulty):
+        service, mid, faults, table, data = faulty
+        faults.fail_next("store.commit", count=10)
+        with pytest.raises(ThrottledError):
+            service.purge_deleted(mid)
+        row = service.store.snapshot(mid).get(Tables.ENTITIES, table.id)
+        assert row["state"] == EntityState.DELETED.value
+        assert service.object_store.exists(data)
+        faults.clear()
+        report = service.purge_deleted(mid)
+        assert (report.purged_entities, report.deleted_objects) == (1, 1)
+        assert not service.object_store.exists(data)
+
+    def test_a_purge_reads_the_policies_once(self, service, mid, monkeypatch):
+        tables = 200
+        for i in range(tables):
+            make_table(service, mid, name=f"cat.sch.t{i}")
+            service.set_row_filter(mid, "alice", f"cat.sch.t{i}", "f", "id > 0")
+        service.delete_securable(mid, "alice", SecurableKind.SCHEMA, "cat.sch",
+                                 cascade=True)
+        policy_rows = []
+        raw_snapshot = service.raw_snapshot
+
+        class CountingPolicies:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def scan(self, table):
+                for key, value in self._inner.scan(table):
+                    if table == Tables.POLICIES:
+                        policy_rows.append(key)
+                    yield key, value
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        monkeypatch.setattr(service, "raw_snapshot",
+                            lambda mid: CountingPolicies(raw_snapshot(mid)))
+        report = service.purge_deleted(mid)
+        assert report.purged_entities == tables + 1
+        assert 0 < len(policy_rows) <= 2 * tables
+        assert service.store.snapshot(mid).count(Tables.POLICIES) == 0
 
 
 class TestModelHierarchy:

@@ -1,10 +1,11 @@
 """A snapshot view reads each row once, and never sees a later commit.
 
 ``SnapshotView`` memoizes what it reads for its own lifetime: decoded
-entities, each securable's grants and auxiliary rows. These tests count
-the reads that reach the backing snapshot during real requests (the
-kernel builds one view per request) and check that a view opened before
-a commit keeps answering from its own version.
+entities, name lookups, each securable's grants, auxiliary rows and
+table scans read to the end. These tests count the reads that reach the
+backing snapshot during real requests (the kernel builds one view per
+request) and check that a view opened before a commit keeps answering
+from its own version.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.core.auth.privileges import Privilege
 from repro.core.model.entity import SecurableKind
 from repro.core.persistence.branching import branch_snapshot
 from repro.core.persistence.sqlite import SqliteMetadataStore
-from repro.core.persistence.store import Tables
+from repro.core.persistence.store import TREE_INDEX, Tables, index_prefix
 from repro.core.service import kernel
 from repro.core.service.catalog_service import UnityCatalogService
 from repro.core.service.rest import ServiceRouter
@@ -32,12 +33,14 @@ SPEC = {"table_type": "MANAGED", "format": "DELTA",
 
 
 class CountingSnapshot:
-    """Counts the point reads and prefix scans that reach a snapshot."""
+    """Counts the point reads, prefix scans (tree-index reads among them)
+    and table scans that reach a snapshot."""
 
     def __init__(self, inner):
         self._inner = inner
         self.point_reads: Counter = Counter()
         self.prefix_scans: Counter = Counter()
+        self.scans: Counter = Counter()
 
     def get(self, table, key):
         self.point_reads[(table, key)] += 1
@@ -46,6 +49,18 @@ class CountingSnapshot:
     def scan_prefix(self, table, prefix):
         self.prefix_scans[(table, prefix)] += 1
         return self._inner.scan_prefix(table, prefix)
+
+    def child_id(self, parent_id, kind, name):
+        self.prefix_scans[(TREE_INDEX, index_prefix(parent_id, kind, name))] += 1
+        return self._inner.child_id(parent_id, kind, name)
+
+    def children_ids(self, parent_id, kind=None, include_deleted=False):
+        self.prefix_scans[(TREE_INDEX, index_prefix(parent_id, kind))] += 1
+        return self._inner.children_ids(parent_id, kind, include_deleted)
+
+    def scan(self, table):
+        self.scans[table] += 1
+        return self._inner.scan(table)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -72,6 +87,14 @@ class CountingView(SnapshotView):
     def grants_on(self, securable_id):
         self.lookups["grants_on"] += 1
         return super().grants_on(securable_id)
+
+    def entity_by_name(self, parent_id, namespace_group, name):
+        self.lookups["entity_by_name"] += 1
+        return super().entity_by_name(parent_id, namespace_group, name)
+
+    def rows(self, table):
+        self.lookups["rows"] += 1
+        return super().rows(table)
 
 
 @pytest.fixture(params=["memory", "sqlite", "branch"])
@@ -144,6 +167,40 @@ def test_a_request_reads_each_entity_and_grant_range_once(estate, monkeypatch):
     lookups = sum((view.lookups for view in views), Counter())
     assert lookups["entity_by_id"] > reads["entity_by_id"]
     assert lookups["grants_on"] > reads["grants_on"]
+
+
+def test_a_request_reads_each_index_prefix_and_table_scan_once(estate, monkeypatch):
+    service, _, branch = estate
+    monkeypatch.setattr(CountingView, "built", [])
+    monkeypatch.setattr(kernel, "SnapshotView", CountingView)
+    _requests(service, branch)
+
+    reads = Counter()
+    for view in CountingView.built:
+        index_reads = {p: n for (t, p), n in view.counts.prefix_scans.items()
+                       if t == TREE_INDEX}
+        assert not index_reads or max(index_reads.values()) == 1, index_reads
+        assert not view.counts.scans or max(view.counts.scans.values()) == 1, (
+            view.counts.scans)
+        reads["entity_by_name"] += len(index_reads)
+        reads["rows"] += sum(view.counts.scans.values())
+    # the resolve asks for the catalog, the schema and the policies once
+    # per table: the memo answers all but the first
+    lookups = sum((view.lookups for view in CountingView.built), Counter())
+    assert reads["entity_by_name"] and reads["rows"], reads
+    assert lookups["entity_by_name"] > reads["entity_by_name"]
+    assert lookups["rows"] > reads["rows"]
+
+
+def test_a_scan_stopped_early_is_not_kept(estate):
+    service, mid, branch = estate
+    view = _open_view(service, mid, branch)
+    counted = view._snapshot = CountingSnapshot(view._snapshot)
+    first = next(view.rows(Tables.GRANTS))
+    every = list(view.rows(Tables.GRANTS))
+    assert first == every[0] and len(every) > 1
+    assert list(view.rows(Tables.GRANTS)) == every
+    assert counted.scans[Tables.GRANTS] == 2
 
 
 def _open_view(service, mid, branch):
