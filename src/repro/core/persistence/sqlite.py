@@ -33,6 +33,7 @@ compaction deletes versions but never rewrites one; and the one rewrite,
 ``_rebuild_tree_index``, runs in the constructor, before any read. The
 map keeps at most ``_DECODED_ROWS_MAX`` row versions and evicts the
 oldest first; an evicted row is decoded again, equal, when next read.
+A scan decodes each row only when its caller reaches it.
 """
 
 from __future__ import annotations
@@ -93,7 +94,12 @@ CREATE TABLE IF NOT EXISTS compactions (
 #: ``PRAGMA user_version`` of a file whose commits derive the tree index
 _SCHEMA_VERSION = 1
 
-#: row versions a store keeps decoded; past it, the oldest go first
+#: row versions a store keeps decoded; past it, the oldest go first. About
+#: four times the 4,234 live row versions of the largest benchmark estate
+#: (E2000); a decoded 12-column table row keeps about 10 KB with its
+#: ``Entity`` and text. The map saves work only on a row read again while
+#: it is still here: a working set three times this size hits a third of
+#: the time and lists slower than plain decoding (EXPERIMENTS.md)
 _DECODED_ROWS_MAX = 16384
 
 _INSERT_ROW = (
@@ -116,21 +122,21 @@ class _SqliteSnapshot(Snapshot):
         self._store = store
 
     def get(self, table: str, key: str) -> Optional[dict[str, Any]]:
-        rows = self._store._read_rows(
-            self.metastore_id, table,
-            "SELECT key, version, value FROM rows"
+        row = self._store._query_one(
+            "SELECT version, value FROM rows"
             " WHERE metastore_id=? AND tbl=? AND key=? AND version<=?"
             " ORDER BY version DESC LIMIT 1",
             (self.metastore_id, table, key, self.version),
         )
-        return rows[0][1] if rows else None
+        if row is None or row[1] is None:
+            return None
+        return self._store._frozen(self.metastore_id, table, key, *row)
 
     def multi_get(self, table: str, keys: list[str]) -> dict[str, dict[str, Any]]:
         if not keys:
             return {}
         placeholders = ",".join("?" for _ in keys)
-        rows = self._store._read_rows(
-            self.metastore_id, table,
+        rows = self._store._query_all(
             "SELECT key, version, value FROM rows r"
             f" WHERE metastore_id=? AND tbl=? AND key IN ({placeholders})"
             "   AND version = ("
@@ -140,11 +146,14 @@ class _SqliteSnapshot(Snapshot):
             (self.metastore_id, table, *keys, self.version),
         )
         self._store.multi_get_count += 1
-        return dict(rows)
+        frozen = self._store._frozen
+        return {
+            key: frozen(self.metastore_id, table, key, version, value)
+            for key, version, value in rows if value is not None
+        }
 
     def scan(self, table: str) -> Iterator[tuple[str, dict[str, Any]]]:
-        live = self._store._read_rows(
-            self.metastore_id, table,
+        rows = self._store._query_all(
             "SELECT key, version, value FROM rows r"
             " WHERE metastore_id=? AND tbl=? AND version = ("
             "   SELECT MAX(version) FROM rows"
@@ -152,8 +161,7 @@ class _SqliteSnapshot(Snapshot):
             "     AND key=r.key AND version<=?)",
             (self.metastore_id, table, self.version),
         )
-        self._store.scan_row_count += len(live)
-        return iter(live)
+        yield from self._live(table, rows)
 
     def scan_range(
         self, table: str, start: str, end: Optional[str]
@@ -162,8 +170,7 @@ class _SqliteSnapshot(Snapshot):
         params: tuple = (self.metastore_id, table, start)
         if end is not None:
             params += (end,)
-        live = self._store._read_rows(
-            self.metastore_id, table,
+        rows = self._store._query_all(
             "SELECT key, version, value FROM rows r"
             f" WHERE metastore_id=? AND tbl=? AND key>=?{where_end}"
             "   AND version = ("
@@ -174,8 +181,16 @@ class _SqliteSnapshot(Snapshot):
             params + (self.version,),
         )
         self._store.range_scan_count += 1
+        yield from self._live(table, rows)
+
+    def _live(self, table: str, rows: list[tuple]) -> Iterator[tuple[str, dict[str, Any]]]:
+        """A scan's live rows, each decoded only when the caller reaches
+        it: a caller that stops at its first match decodes no more."""
+        live = [row for row in rows if row[2] is not None]
         self._store.scan_row_count += len(live)
-        return iter(live)
+        frozen = self._store._frozen
+        for key, version, value in live:
+            yield key, frozen(self.metastore_id, table, key, version, value)
 
     def count(self, table: str, prefix: str = "") -> int:
         end = prefix_end(prefix)
@@ -232,26 +247,25 @@ class SqliteMetadataStore(MetadataStore):
             cursor = self._conn.execute(sql, params)
             return cursor.fetchall()
 
-    def _read_rows(
-        self, metastore_id: str, table: str, sql: str, params: tuple
-    ) -> list[tuple[str, FrozenRow]]:
-        """Run a read selecting ``(key, version, value)``; returns the live
-        rows as ``(key, frozen row)``, each row version decoded once."""
-        with self._lock:
-            rows = self._conn.execute(sql, params).fetchall()
-            decoded = self._decoded
-            out = []
-            for key, version, text in rows:
-                if text is None:
-                    continue
-                slot = (metastore_id, table, key, version)
+    def _frozen(
+        self, metastore_id: str, table: str, key: str, version: int, text: str
+    ) -> FrozenRow:
+        """The one frozen row of a row version, decoded on its first read.
+
+        A hit is one dict lookup, atomic without the lock; a miss decodes
+        and evicts under it, looking again first, so that two readers of
+        a new version still share one row."""
+        slot = (metastore_id, table, key, version)
+        decoded = self._decoded
+        row = decoded.get(slot)
+        if row is None:
+            with self._lock:
                 row = decoded.get(slot)
                 if row is None:
                     row = decoded[slot] = freeze(json.loads(text))
                     if len(decoded) > _DECODED_ROWS_MAX:
                         decoded.popitem(last=False)
-                out.append((key, row))
-            return out
+        return row
 
     @property
     def decoded_rows(self) -> int:

@@ -43,6 +43,7 @@ from repro.errors import (
     NotFoundError,
     PathConflictError,
     PermissionDeniedError,
+    UnityCatalogError,
 )
 
 #: table_type values that carry no backing storage of their own.
@@ -535,10 +536,22 @@ def purge_deleted(svc, ctx) -> GcReport:
         return ops, (report, released)
 
     report, released = svc._mutate(metastore_id, build)
+    # the rows are gone, so no later purge finds these paths again: one
+    # failed release must not stop the rest, and the audit names the
+    # paths left behind before the error goes to the caller
+    unreleased: list[str] = []
+    error: Optional[UnityCatalogError] = None
     for path in released:
-        report.deleted_objects += svc.object_store.delete_prefix(path)
+        try:
+            report.deleted_objects += svc.object_store.delete_prefix(path)
+        except UnityCatalogError as exc:
+            unreleased.append(path.url())
+            error = error or exc
+    details = {"unreleased": unreleased} if unreleased else {}
     svc._audit(metastore_id, SYSTEM_PRINCIPAL, "purge_deleted", "<gc>", True,
-               purged=report.purged_entities)
+               purged=report.purged_entities, **details)
+    if error is not None:
+        raise error
     return report
 
 

@@ -362,6 +362,23 @@ class TestPurgeRetries:
         assert (report.purged_entities, report.deleted_objects) == (1, 1)
         assert not service.object_store.exists(data)
 
+    def test_a_release_failing_after_the_commit_is_audited(self, faulty):
+        """Once the rows are purged no later purge finds their paths: a
+        failed release must not stop the others, and the audit names it."""
+        service, mid, faults, table, data = faulty
+        other = make_table(service, mid, name="cat.sch.u")
+        other_data = StoragePath.parse(other.storage_path).child("part-0")
+        service.object_store.put(other_data, b"rows")
+        service.delete_securable(mid, "alice", SecurableKind.TABLE, "cat.sch.u")
+        faults.fail_next("list", prefix=StoragePath.parse(table.storage_path))
+        with pytest.raises(ThrottledError):
+            service.purge_deleted(mid)
+        assert service.store.snapshot(mid).get(Tables.ENTITIES, table.id) is None
+        assert not service.object_store.exists(other_data)
+        assert service.object_store.exists(data)
+        (record,) = service.audit.query(action="purge_deleted")
+        assert record.details == {"purged": 2, "unreleased": [table.storage_path]}
+
     def test_a_purge_reads_the_policies_once(self, service, mid, monkeypatch):
         tables = 200
         for i in range(tables):

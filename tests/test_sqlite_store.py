@@ -67,6 +67,23 @@ def test_the_map_stays_within_its_bound_and_evicted_rows_decode_again_equal(path
         store.close()
 
 
+def test_a_scan_decodes_only_the_rows_its_caller_reaches(path):
+    """A caller that stops at its first match (an authorizer looking for
+    one grant) decodes one row, not the table."""
+    store = SqliteMetadataStore(path)
+    try:
+        store.create_metastore_slot(MID)
+        store.commit(MID, 0, [_put(f"k{i:02d}", n=i) for i in range(20)])
+        snapshot = store.snapshot(MID)
+        assert next(iter(snapshot.scan(Tables.ENTITIES)))[1] == {"n": 0}
+        assert store.decoded_rows == 1
+        assert next(iter(snapshot.scan_range(Tables.ENTITIES, "k05", None))) == (
+            "k05", {"n": 5})
+        assert store.decoded_rows == 2
+    finally:
+        store.close()
+
+
 def _estate(store):
     """Caches off: one catalog, one schema, four tables a reader selects."""
     service = UnityCatalogService(store=store, enable_cache=False)
